@@ -571,10 +571,11 @@ let e12 () =
 (* --------------------------------------------------- exhaustive checker *)
 
 (* Replay-from-scratch baseline vs the incremental engine (with and without
-   the state-fingerprint memo, and with domain sharding), side by side on
-   E-series-style small configurations. The acceptance bar for the
-   incremental engine is steps_executed >= 3x lower than the baseline at
-   identical verdict and schedule count. *)
+   the state-fingerprint memo, and with sleep-set + symmetry reduction),
+   side by side on E-series-style small configurations. Gated: every engine
+   must report the baseline's verdict and schedule count, and the
+   incremental engine with the memo must execute >= 3x fewer steps than the
+   baseline. *)
 let checker () =
   header "checker" "exhaustive engines: replay baseline vs incremental";
   let mk_rt ~n_c ~n_s mem c_code =
@@ -651,6 +652,7 @@ let checker () =
       Fmt.pr "    %-26s %10s %9s %9s %7s %9s %7s %7s %8s@." "engine"
         "schedules" "nodes" "steps" "replays" "memo" "sleep" "orbits" "wall";
       line ();
+      let baseline = ref None in
       let show label (verdict, st) =
         let scheds =
           match verdict with
@@ -679,6 +681,13 @@ let checker () =
           st.Exhaustive.replays st.Exhaustive.memo_hits
           st.Exhaustive.sleep_pruned st.Exhaustive.orbits_collapsed
           st.Exhaustive.wall_s;
+        (match !baseline with
+        | None -> baseline := Some (verdict, scheds)
+        | Some (b, b_scheds) ->
+          if verdict <> b then
+            failwith
+              (Fmt.str "checker %s: %s reports %s, the replay baseline %s" name
+                 label scheds b_scheds));
         st
       in
       let base =
@@ -692,18 +701,10 @@ let checker () =
         show "incremental+memo"
           (Exhaustive.run ~memo:true ~mode ~build ~pids ~depth ~prop ())
       in
-      let _ =
-        show "incremental+memo x4 domains"
-          (Exhaustive.run ~domains:4 ~memo:true ~mode ~build ~pids ~depth ~prop ())
-      in
       let reduce = { Exhaustive.sleep = true; symmetry } in
       let red =
         show "reduced (sleep+symmetry)"
           (Exhaustive.run ~reduce ~mode ~build ~pids ~depth ~prop ())
-      in
-      let _ =
-        show "reduced x4 domains"
-          (Exhaustive.run ~domains:4 ~reduce ~mode ~build ~pids ~depth ~prop ())
       in
       let ratio a b =
         float_of_int a.Exhaustive.steps_executed
@@ -718,7 +719,11 @@ let checker () =
         ];
       Fmt.pr "    step reduction: incremental+memo x%.1f vs baseline, \
               reduced x%.1f vs memo@.@."
-        vs_baseline vs_memo)
+        vs_baseline vs_memo;
+      if vs_baseline < 3. then
+        failwith
+          (Fmt.str "checker %s: incremental+memo step reduction x%.1f < x3"
+             name vs_baseline))
     configs
 
 (* ------------------------------------------------------- fuzzer bench *)

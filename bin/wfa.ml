@@ -467,18 +467,22 @@ let modelcheck scenario_file depth n_s reduce scenario workers split_depth
       2
     | Ok store -> (
       match (workers, store) with
-      | [], None ->
+      | [], None -> (
         let red = Mcheck.Scenario.reduction sc ~reduce in
-        let verdict, stats =
+        match
           Exhaustive.run ?reduce:red ~build:sc.Mcheck.Scenario.sc_build
             ~pids:sc.Mcheck.Scenario.sc_pids ~depth
             ~prop:sc.Mcheck.Scenario.sc_prop ()
-        in
-        finish
-          ~engine:
-            (if red = None then "incremental+memo"
-             else "incremental+memo+sleep+symmetry")
-          ~dist_fields:[] verdict stats
+        with
+        | exception Invalid_argument msg ->
+          Fmt.epr "wfa modelcheck: %s@." msg;
+          2
+        | verdict, stats ->
+          finish
+            ~engine:
+              (if red = None then "incremental+memo"
+               else "incremental+memo+sleep+symmetry")
+            ~dist_fields:[] verdict stats)
       | [], Some (dir, store) -> (
         match
           Ckpt.Local.run ~interval_s:checkpoint_interval_s ?split_depth

@@ -31,7 +31,11 @@ let continue ~interval_s ~cancel ~store ~sc ~config ~pre () =
     Error
       (Printf.sprintf "split depth %d not in [1, %d)" split_depth depth)
   else
-    let fr = Exhaustive.split ?reduce:red ~build ~pids ~depth ~split_depth ~prop () in
+    match
+      Exhaustive.split ?reduce:red ~build ~pids ~depth ~split_depth ~prop ()
+    with
+    | exception Invalid_argument msg -> Error msg
+    | fr ->
     let total = List.length fr.Exhaustive.fr_jobs in
     let* () =
       match pre with

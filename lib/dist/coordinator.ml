@@ -349,10 +349,12 @@ let run ?sink ?split_depth ?(reduce = false) ?(retries = 5) ?(backoff_ms = 50)
     | msg :: _ -> Error msg
     | [] -> (
       let red = Mcheck.Scenario.reduction sc ~reduce in
-      let fr =
+      match
         Exhaustive.split ?reduce:red ~build:sc.Mcheck.Scenario.sc_build ~pids
           ~depth ~split_depth ~prop:sc.Mcheck.Scenario.sc_prop ()
-      in
+      with
+      | exception Invalid_argument msg -> Error msg
+      | fr ->
       let total = List.length fr.Exhaustive.fr_jobs in
       match resume with
       | Some r when r.Ckpt.Record.ck_total <> total ->

@@ -89,7 +89,7 @@ let record_stats ?(labels = []) reg s =
   c "exhaustive.orbits_collapsed" s.orbits_collapsed;
   Obs.Metrics.set (Obs.Metrics.gauge reg ~labels "exhaustive.wall_s") s.wall_s
 
-(* Mutable per-worker accumulator; summed into a [stats] after the run. *)
+(* Mutable counters of one search; turned into a [stats] when it ends. *)
 type acc = {
   mutable a_nodes : int;
   mutable a_steps : int;
@@ -105,22 +105,10 @@ let fresh_acc () =
   { a_nodes = 0; a_steps = 0; a_replays = 0; a_built = 0; a_memo = 0;
     a_sleep = 0; a_orbits = 0; a_count = 0 }
 
-let stats_of ~wall_s accs =
-  List.fold_left
-    (fun s a ->
-      {
-        s with
-        nodes = s.nodes + a.a_nodes;
-        steps_executed = s.steps_executed + a.a_steps;
-        replays = s.replays + a.a_replays;
-        runtimes_built = s.runtimes_built + a.a_built;
-        memo_hits = s.memo_hits + a.a_memo;
-        sleep_pruned = s.sleep_pruned + a.a_sleep;
-        orbits_collapsed = s.orbits_collapsed + a.a_orbits;
-      })
-    { nodes = 0; steps_executed = 0; replays = 0; runtimes_built = 0;
-      memo_hits = 0; sleep_pruned = 0; orbits_collapsed = 0; wall_s }
-    accs
+let stats_of ~wall_s a =
+  { nodes = a.a_nodes; steps_executed = a.a_steps; replays = a.a_replays;
+    runtimes_built = a.a_built; memo_hits = a.a_memo; sleep_pruned = a.a_sleep;
+    orbits_collapsed = a.a_orbits; wall_s }
 
 (* Lexicographic order on schedules, by position in [pids]; a schedule that
    is a strict prefix of another orders first (its violation is met earlier
@@ -152,153 +140,47 @@ let merge_verdicts ~pids a b =
 
 exception Cancelled
 
-type worker_result = W_ok | W_cex of Pid.t list | W_aborted
-
 (* ------------------------------------------------------------------ *)
-(* The incremental engine.
+(* The engine: one DFS, shared by {!run}, {!split} and {!run_subtree}.
 
-   One live runtime is kept per DFS path: descending into the first child of
-   a node is a single [Runtime.step]; only when the DFS moves to a sibling is
-   the runtime rebuilt and the prefix replayed (runtimes hold effect
-   continuations, so they cannot be cloned — replay-on-backtrack keeps the
-   enumeration exact while the descent itself costs amortized O(1) steps per
-   node, against O(depth) for replay-from-scratch at every node).
+   Incremental: one live runtime is kept per DFS path, so descending into
+   the first child of a node is a single [Runtime.step]; only when the DFS
+   moves to a sibling is the runtime rebuilt and the prefix replayed
+   (runtimes hold effect continuations, so they cannot be cloned).
 
-   On top, a state-fingerprint memo ({!Runtime.digest}) collapses converging
-   interleavings: when a node's state has been seen before at the same clock,
-   its whole subtree is skipped and the recorded number of complete schedules
-   below it is credited, so reported schedule counts stay exact. Only
-   fully-verified (counterexample-free) subtrees are memoized. *)
+   Memo: a state fingerprint ({!Runtime.digest}) collapses converging
+   interleavings. When a node's state has been seen before at the same
+   clock, its subtree is skipped and the recorded number of complete
+   schedules below it is credited, so counts stay exact. Only fully
+   verified (counterexample-free) subtrees are memoized.
 
-(* [?prefix0] starts the DFS below a fixed schedule prefix (executed without
-   property checks — the caller has already verified it): the engine then
-   enumerates exactly the subtree of extensions, which is how a frontier job
-   from {!split} is replayed on a worker. The default keeps the whole-tree
-   behaviour byte-identical. *)
-let explore ?(prefix0 = []) ~build ~pids ~depth ~prop ~mode ~memo ~cancelled
-    ~tops acc =
-  let every = mode = Every in
-  let tbl = if memo then Some (Hashtbl.create 4096) else None in
-  let cur = ref None in
-  let destroy_cur () =
-    match !cur with
-    | Some rt ->
-      Runtime.destroy rt;
-      cur := None
-    | None -> ()
-  in
-  let build_fresh () =
-    acc.a_built <- acc.a_built + 1;
-    let rt = build () in
-    cur := Some rt;
-    rt
-  in
-  let step rt p =
-    Runtime.step rt p;
-    acc.a_steps <- acc.a_steps + 1
-  in
-  let replay prefix_rev =
-    destroy_cur ();
-    acc.a_replays <- acc.a_replays + 1;
-    let rt = build_fresh () in
-    List.iter (step rt) (List.rev prefix_rev);
-    rt
-  in
-  (* [expand rt prefix_rev d ~branch]: [rt] is live at the state reached by
-     [prefix_rev]; explore all extensions by up to [d] more steps, branching
-     over [branch] at this node and over [pids] below. *)
-  let rec expand rt prefix_rev d ~branch =
-    if d = 0 then begin
-      acc.a_count <- acc.a_count + 1;
-      if (not every) && prefix_rev <> [] && not (prop rt) then
-        Some (List.rev prefix_rev)
-      else None
-    end
-    else
-      let rec kids live = function
-        | [] -> None
-        | p :: rest ->
-          if cancelled () then raise Cancelled;
-          let rt = if live then rt else replay prefix_rev in
-          step rt p;
-          acc.a_nodes <- acc.a_nodes + 1;
-          let prefix_rev' = p :: prefix_rev in
-          if every && not (prop rt) then Some (List.rev prefix_rev')
-          else begin
-            let key =
-              match tbl with
-              | Some _ when d > 1 -> Some (Runtime.digest rt)
-              | _ -> None
-            in
-            match (key, tbl) with
-            | Some k, Some table when Hashtbl.mem table k ->
-              acc.a_memo <- acc.a_memo + 1;
-              acc.a_count <- acc.a_count + Hashtbl.find table k;
-              kids false rest
-            | _ -> (
-              let before = acc.a_count in
-              match expand rt prefix_rev' (d - 1) ~branch:pids with
-              | Some cex -> Some cex
-              | None ->
-                (match (key, tbl) with
-                | Some k, Some table ->
-                  Hashtbl.replace table k (acc.a_count - before)
-                | _ -> ());
-                kids false rest)
-          end
-      in
-      kids true branch
-  in
-  let result =
-    try
-      let rt = build_fresh () in
-      List.iter (step rt) prefix0;
-      match
-        expand rt (List.rev prefix0)
-          (depth - List.length prefix0)
-          ~branch:tops
-      with
-      | Some cex -> W_cex cex
-      | None -> W_ok
-    with Cancelled -> W_aborted
-  in
-  destroy_cur ();
-  result
+   Reduction (optional): sleep-set partial-order reduction over the
+   step-footprint independence relation ({!Runtime.footprint}), and
+   symmetry reduction over caller-declared classes of interchangeable pids.
+   Both prune whole subtrees while crediting exactly the complete schedules
+   they hold, so counts stay |pids|^depth. The load-bearing arguments:
 
-(* ------------------------------------------------------------------ *)
-(* Sound state-space reduction: sleep-set partial-order reduction over the
-   step-footprint independence relation ({!Runtime.footprint}), and symmetry
-   reduction over caller-declared classes of interchangeable pids.
-
-   Both layers prune whole subtrees while crediting exactly the number of
-   complete schedules the subtree holds, so reported counts stay |pids|^depth
-   — identical to the unreduced engines, which the differential suite
-   checks.
-
-   Soundness notes (the load-bearing arguments, in one place):
-
-   - Footprint stability: a parked operation names its registers up front and
-     cannot be changed by other processes' steps, so the independence of two
-     processes' next steps, evaluated at a node, holds across any
-     interleaving of other processes below that node. Time-sensitive steps
-     (FD queries; any step of a live S-process that crashes inside the
-     pattern) are [F_timedep] and never commute, because every step advances
-     the clock.
+   - Footprint stability: a parked operation names its registers up front
+     and cannot be changed by other processes' steps, so the independence of
+     two processes' next steps, evaluated at a node, holds across any
+     interleaving of other processes below it. Time-sensitive steps (FD
+     queries; any step of a live S-process that crashes inside the pattern)
+     are [F_timedep] and never commute, because every step advances the
+     clock.
 
    - Sleep sets prune transitions, not states: every state reachable in the
      full tree at a given clock is still visited (classical result for
      acyclic spaces), so [Every]-mode per-prefix checking is preserved. The
      lexicographically least violating schedule is never pruned — a pruned
      child is trace-equivalent to a lex-smaller schedule, so the first
-     counterexample found equals the unreduced engines' (DFS order is lex
+     counterexample found equals the unreduced search's (DFS order is lex
      order).
 
    - Sleep × memo: a memoized subtree was verified minus what its sleep set
      pruned, so an entry records the sleep mask it was explored under and a
-     hit is taken only when stored ⊆ current (the stored exploration skipped
-     nothing the current node is not itself entitled to skip). Otherwise the
-     subtree is re-explored under the intersection and the entry tightened —
-     monotone, so this converges.
+     hit is taken only when stored ⊆ current. Otherwise the subtree is
+     re-explored under the intersection and the entry tightened — monotone,
+     so this converges.
 
    - Symmetry: at any state, the not-yet-scheduled members of a class are in
      identical (peeked) local states, so continuations that differ only by
@@ -309,36 +191,69 @@ let explore ?(prefix0 = []) ~build ~pids ~depth ~prop ~mode ~memo ~cancelled
      counters), so memoized counts transfer between digest-equal nodes.
 
    - Peeking: footprints force Fresh processes to their first suspension
-     point. That is behaviour-neutral but digest-visible, so the reduced
-     engine peeks every pid after every step and replay — digests compared
-     within its (private, per-worker) memo are taken at uniform peek points.
-     The unreduced paths never peek and are byte-for-byte unchanged. *)
+     point. That is behaviour-neutral but digest-visible, so a reduced
+     search peeks every pid after every step and replay, and digests are
+     compared at uniform peek points. An unreduced search never peeks nor
+     computes footprints, so its digests and counters do not depend on the
+     reduction code.
+
+   Seed and cut: the DFS starts at a seeded node — a schedule prefix
+   (replayed without property checks), sleep mask, orbit-multiplier product
+   and per-class used counts — which is exactly the state the search holds
+   when it enters that node. The root is the empty seed. With a cut, a
+   child whose remaining depth reaches the cut is handed to [emit] as a
+   frontier job instead of being expanded. So
+
+     split + run_subtree over every job + merge  =  run
+
+   for verdicts and credited counts by construction: prunes above the
+   frontier are credited by the splitting search itself, prunes below it by
+   the same code seeded with the frontier context, and jobs are emitted in
+   DFS (= lex) order, so every counterexample inside job i lex-precedes
+   every one inside job j > i. *)
 
 type reduction = { sleep : bool; symmetry : Pid.t list list }
 
 let no_reduction = { sleep = false; symmetry = [] }
 
-(* Compiled, read-only reduction context, shared across workers. *)
-type rctx = {
-  r_sleep : bool;
-  r_pids : Pid.t array;
-  r_cls : int array;  (* pid index -> class id, -1 if in no class *)
-  r_pos : int array;  (* pid index -> canonical position within its class *)
-  r_size : int array;  (* class id -> member count *)
-  r_pow : int array;  (* r_pow.(d) = |pids|^d *)
+(* Compiled, read-only search context. *)
+type ctx = {
+  c_peek : bool;  (* any reduction layer on: peek every pid after each step *)
+  c_sleep : bool;
+  c_pids : Pid.t array;
+  c_cls : int array;  (* pid index -> class id, -1 if in no class *)
+  c_pos : int array;  (* pid index -> canonical position within its class *)
+  c_size : int array;  (* class id -> member count *)
+  c_pow : int array;  (* c_pow.(d) = |pids|^d *)
 }
 
-let compile_reduction ~pids ~depth (r : reduction) =
+(* |pids|^d for d = 0..depth, refusing any count that would wrap: every
+   credited count is at most |pids|^depth, so checking it once up front
+   keeps every verdict's count exact. *)
+let schedule_counts ~who ~pids ~depth =
+  if depth < 0 then invalid_arg ("Exhaustive." ^ who ^ ": negative depth");
+  let n = List.length pids in
+  let pow = Array.make (depth + 1) 1 in
+  for d = 1 to depth do
+    if n > 1 && pow.(d - 1) > max_int / n then
+      invalid_arg
+        (Printf.sprintf "Exhaustive.%s: %d^%d schedules exceed max_int" who
+           n depth);
+    pow.(d) <- pow.(d - 1) * n
+  done;
+  pow
+
+let compile ~who ~pids ~depth reduce =
+  let r = Option.value reduce ~default:no_reduction in
+  let pow = schedule_counts ~who ~pids ~depth in
   let arr = Array.of_list pids in
   let n = Array.length arr in
+  let fail msg = invalid_arg ("Exhaustive." ^ who ^ ": " ^ msg) in
+  if r.sleep && n >= Sys.int_size then fail "too many pids for sleep masks";
   let idx p =
-    let rec go i =
-      if i = n then
-        invalid_arg "Exhaustive.run: symmetry class member not in pids"
-      else if Pid.equal arr.(i) p then i
-      else go (i + 1)
-    in
-    go 0
+    match Array.find_index (Pid.equal p) arr with
+    | Some i -> i
+    | None -> fail "symmetry class member not in pids"
   in
   let cls = Array.make n (-1) and pos = Array.make n (-1) in
   let size =
@@ -349,118 +264,116 @@ let compile_reduction ~pids ~depth (r : reduction) =
            representative of an orbit is also its lex-least schedule. *)
         List.iteri
           (fun j i ->
-            if cls.(i) <> -1 then
-              invalid_arg "Exhaustive.run: symmetry classes overlap";
+            if cls.(i) <> -1 then fail "symmetry classes overlap";
             cls.(i) <- c;
             pos.(i) <- j)
           is;
         List.length is)
       r.symmetry
   in
-  let pow = Array.make (depth + 1) 1 in
-  for d = 1 to depth do
-    pow.(d) <- pow.(d - 1) * n
-  done;
-  { r_sleep = r.sleep; r_pids = arr; r_cls = cls; r_pos = pos;
-    r_size = Array.of_list size; r_pow = pow }
+  { c_peek = r.sleep || r.symmetry <> []; c_sleep = r.sleep; c_pids = arr;
+    c_cls = cls; c_pos = pos; c_size = Array.of_list size; c_pow = pow }
 
-(* [?prefix0]/[?z0]/[?factor0]/[?used0] seed the DFS at a frontier node: the
-   prefix is replayed without property checks, then the subtree is expanded
-   under the given sleep mask, orbit-multiplier product and per-class
-   used-member counts — exactly the state the whole-tree engine is in when it
-   reaches that node, so credited counts and counterexamples compose. The
-   defaults (empty prefix, empty mask, factor 1, all-zero used counts) are
-   the whole-tree run and leave its behaviour byte-identical. *)
-let explore_reduced ?(prefix0 = []) ?(z0 = 0) ?(factor0 = 1) ?used0 ~build
-    ~depth ~prop ~mode ~memo ~rctx ~cancelled ~tops acc =
-  let every = mode = Every in
-  let n = Array.length rctx.r_pids in
-  let pidx p =
-    let rec go i = if Pid.equal rctx.r_pids.(i) p then i else go (i + 1) in
-    go 0
-  in
-  let tops = List.map pidx tops in
-  let all = List.init n Fun.id in
-  (* memo entry: (complete schedules below, divided by the factor in force
-     when the subtree was entered; sleep mask the subtree was explored
-     under). *)
-  let tbl : (string, int * int) Hashtbl.t option =
-    if memo then Some (Hashtbl.create 4096) else None
-  in
-  let used = Array.map (fun _ -> 0) rctx.r_size in
-  (match used0 with
-  | None -> ()
-  | Some u ->
-    if Array.length u <> Array.length used then
-      invalid_arg "Exhaustive: used-count list does not match symmetry classes";
-    Array.blit u 0 used 0 (Array.length u));
-  let cur = ref None in
-  let destroy_cur () =
-    match !cur with
-    | Some rt ->
-      Runtime.destroy rt;
+(* Where a search starts: pid indices of the prefix in schedule order, the
+   sleep mask, orbit-multiplier product and per-class used-member counts in
+   force at that node. *)
+type seed = {
+  s_prefix : int list;
+  s_z : int;
+  s_factor : int;
+  s_used : int array;
+}
+
+let root ctx =
+  { s_prefix = []; s_z = 0; s_factor = 1;
+    s_used = Array.make (Array.length ctx.c_size) 0 }
+
+(* A memo entry: the complete schedules below a verified node, divided by
+   the orbit factor in force when it was entered, plus the sleep mask it was
+   explored under. Without sleep sets every mask is 0, so the entry is the
+   bare count, an immediate int. *)
+type 'e entry = { mk : int -> int -> 'e; count : 'e -> int; mask : 'e -> int }
+
+let bare = { mk = (fun c _ -> c); count = Fun.id; mask = (fun _ -> 0) }
+let masked = { mk = (fun c z -> (c, z)); count = fst; mask = snd }
+
+(* The DFS from [seed] to full [depth]: the lex-least violating schedule, or
+   [None] with the credited count added to [acc]. Raises [Cancelled] when
+   [cancel] fires. With [~cut], children [cut] steps short of [depth] are
+   passed to [emit prefix_rev mask factor used] instead of expanded. *)
+let dfs ~ctx ~build ~depth ~prop ~mode ~memo ~cancel ?(cut = -1)
+    ?(emit = fun _ _ _ _ -> ()) seed acc =
+  let search (type e) (entry : e entry) =
+    let every = mode = Every in
+    let pids = ctx.c_pids in
+    let n = Array.length pids in
+    let all = List.init n Fun.id in
+    let tbl : (string, e) Hashtbl.t option =
+      if memo then Some (Hashtbl.create 4096) else None
+    in
+    let used = Array.copy seed.s_used in
+    let cur = ref None in
+    let destroy_cur () =
+      Option.iter Runtime.destroy !cur;
       cur := None
-    | None -> ()
-  in
-  let peek_all rt = Array.iter (Runtime.peek rt) rctx.r_pids in
-  let build_fresh () =
-    acc.a_built <- acc.a_built + 1;
-    let rt = build () in
-    cur := Some rt;
-    rt
-  in
-  let step rt i =
-    Runtime.step rt rctx.r_pids.(i);
-    acc.a_steps <- acc.a_steps + 1;
-    peek_all rt
-  in
-  let replay prefix_rev =
-    destroy_cur ();
-    acc.a_replays <- acc.a_replays + 1;
-    let rt = build_fresh () in
-    List.iter (step rt) (List.rev prefix_rev);
-    peek_all rt;
-    rt
-  in
-  let cex_of prefix_rev = List.rev_map (fun i -> rctx.r_pids.(i)) prefix_rev in
-  let rec expand rt prefix_rev d ~branch ~z ~factor =
-    if d = 0 then begin
-      acc.a_count <- acc.a_count + factor;
-      if (not every) && prefix_rev <> [] && not (prop rt) then
-        Some (cex_of prefix_rev)
-      else None
-    end
-    else begin
-      (* Footprints of everyone's next step at this node: stable below it,
-         valid after replays (which reconstruct this very state). *)
-      let fp = Array.map (Runtime.footprint rt) rctx.r_pids in
-      let rec kids live before = function
-        | [] -> None
-        | i :: rest -> (
-          if cancelled () then raise Cancelled;
-          let c = rctx.r_cls.(i) in
-          let sym =
-            if c < 0 then Some 1
-            else
-              let j = rctx.r_pos.(i) and u = used.(c) in
-              if j < u then Some 1
-              else if j = u then Some (rctx.r_size.(c) - u)
-              else None
-          in
-          match sym with
-          | None ->
-            (* Non-canonical fresh class member: its subtree is a renaming
-               of the canonical representative's, already counted in that
-               child's multiplier. *)
-            acc.a_orbits <- acc.a_orbits + 1;
-            kids live before rest
-          | Some mult ->
-            if rctx.r_sleep && z land (1 lsl i) <> 0 then begin
-              (* Sleep-pruned: every continuation is trace-equivalent to a
-                 lex-smaller explored schedule; credit the whole subtree. *)
+    in
+    let peek_all rt = if ctx.c_peek then Array.iter (Runtime.peek rt) pids in
+    let build_fresh () =
+      acc.a_built <- acc.a_built + 1;
+      let rt = build () in
+      cur := Some rt;
+      rt
+    in
+    let step rt i =
+      Runtime.step rt pids.(i);
+      acc.a_steps <- acc.a_steps + 1;
+      peek_all rt
+    in
+    let replay prefix_rev =
+      destroy_cur ();
+      acc.a_replays <- acc.a_replays + 1;
+      let rt = build_fresh () in
+      List.iter (step rt) (List.rev prefix_rev);
+      peek_all rt;
+      rt
+    in
+    let cex_of prefix_rev = List.rev_map (fun i -> pids.(i)) prefix_rev in
+    let rec expand rt prefix_rev d ~z ~factor =
+      if d = 0 then begin
+        acc.a_count <- acc.a_count + factor;
+        if (not every) && prefix_rev <> [] && not (prop rt) then
+          Some (cex_of prefix_rev)
+        else None
+      end
+      else begin
+        (* Footprints of everyone's next step at this node: stable below it,
+           valid after replays (which reconstruct this very state). *)
+        let fp =
+          if ctx.c_sleep then Array.map (Runtime.footprint rt) pids else [||]
+        in
+        let rec kids live before = function
+          | [] -> None
+          | i :: rest ->
+            if cancel () then raise Cancelled;
+            let c = ctx.c_cls.(i) in
+            (* orbit multiplier; 0 for a non-canonical fresh class member *)
+            let mult =
+              if c < 0 then 1
+              else
+                let j = ctx.c_pos.(i) and u = used.(c) in
+                if j < u then 1 else if j = u then ctx.c_size.(c) - u else 0
+            in
+            if mult = 0 then begin
+              (* its subtree is a renaming of the canonical representative's,
+                 already counted in that child's multiplier *)
+              acc.a_orbits <- acc.a_orbits + 1;
+              kids live before rest
+            end
+            else if ctx.c_sleep && z land (1 lsl i) <> 0 then begin
+              (* every continuation is trace-equivalent to a lex-smaller
+                 explored schedule: credit the whole subtree *)
               acc.a_sleep <- acc.a_sleep + 1;
-              acc.a_count <-
-                acc.a_count + (factor * mult * rctx.r_pow.(d - 1));
+              acc.a_count <- acc.a_count + (factor * mult * ctx.c_pow.(d - 1));
               kids live before rest
             end
             else begin
@@ -471,7 +384,7 @@ let explore_reduced ?(prefix0 = []) ?(z0 = 0) ?(factor0 = 1) ?used0 ~build
               if every && not (prop rt) then Some (cex_of prefix_rev')
               else begin
                 let z' =
-                  if not rctx.r_sleep then 0
+                  if not ctx.c_sleep then 0
                   else begin
                     let zin = z lor before and m = ref 0 in
                     for q = 0 to n - 1 do
@@ -483,6 +396,7 @@ let explore_reduced ?(prefix0 = []) ?(z0 = 0) ?(factor0 = 1) ?used0 ~build
                     !m
                   end
                 in
+                let fm = factor * mult in
                 let key =
                   match tbl with
                   | Some _ when d > 1 -> Some (Runtime.digest rt)
@@ -494,185 +408,74 @@ let explore_reduced ?(prefix0 = []) ?(z0 = 0) ?(factor0 = 1) ?used0 ~build
                   | _ -> None
                 in
                 match stored with
-                | Some (raw, zs) when zs land lnot z' = 0 ->
+                | Some e when entry.mask e land lnot z' = 0 ->
                   acc.a_memo <- acc.a_memo + 1;
-                  acc.a_count <- acc.a_count + (factor * mult * raw);
+                  acc.a_count <- acc.a_count + (fm * entry.count e);
                   kids false (before lor (1 lsl i)) rest
-                | _ ->
-                  (* Miss, or the stored exploration slept on steps this
-                     node may not skip: (re-)explore under the intersection
-                     and tighten the entry. *)
+                | _ -> (
+                  (* Miss, or the stored exploration slept on steps this node
+                     may not skip: (re-)explore under the intersection and
+                     tighten the entry. *)
                   let z_explore =
-                    match stored with Some (_, zs) -> zs land z' | None -> z'
+                    match stored with
+                    | Some e -> entry.mask e land z'
+                    | None -> z'
                   in
-                  let fresh_member = c >= 0 && rctx.r_pos.(i) = used.(c) in
+                  let fresh_member = c >= 0 && ctx.c_pos.(i) = used.(c) in
                   if fresh_member then used.(c) <- used.(c) + 1;
                   let count0 = acc.a_count in
                   let sub =
-                    expand rt prefix_rev' (d - 1) ~branch:all ~z:z_explore
-                      ~factor:(factor * mult)
+                    if d - 1 = cut then begin
+                      emit prefix_rev' z_explore fm used;
+                      None
+                    end
+                    else expand rt prefix_rev' (d - 1) ~z:z_explore ~factor:fm
                   in
                   if fresh_member then used.(c) <- used.(c) - 1;
-                  (match sub with
+                  match sub with
                   | Some cex -> Some cex
                   | None ->
                     (match (key, tbl) with
                     | Some k, Some table ->
-                      let fm = factor * mult in
                       Hashtbl.replace table k
-                        ((acc.a_count - count0) / fm, z_explore)
+                        (entry.mk ((acc.a_count - count0) / fm) z_explore)
                     | _ -> ());
                     kids false (before lor (1 lsl i)) rest)
               end
-            end)
-      in
-      kids true 0 branch
-    end
+            end
+        in
+        kids true 0 all
+      end
+    in
+    Fun.protect ~finally:destroy_cur (fun () ->
+        let rt = build_fresh () in
+        peek_all rt;
+        List.iter (step rt) seed.s_prefix;
+        expand rt
+          (List.rev seed.s_prefix)
+          (depth - List.length seed.s_prefix)
+          ~z:seed.s_z ~factor:seed.s_factor)
   in
-  let result =
-    try
-      let rt = build_fresh () in
-      peek_all rt;
-      let pfx = List.map pidx prefix0 in
-      List.iter (step rt) pfx;
-      match
-        expand rt (List.rev pfx)
-          (depth - List.length pfx)
-          ~branch:tops ~z:z0 ~factor:factor0
-      with
-      | Some cex -> W_cex cex
-      | None -> W_ok
-    with Cancelled -> W_aborted
-  in
-  destroy_cur ();
-  result
-
-(* ------------------------------------------------------------------ *)
-(* Top-level driver: optional domain sharding over the first-step pid. *)
+  if ctx.c_sleep then search masked else search bare
 
 let never_cancel () = false
 
-let run ?(domains = 1) ?(memo = true) ?(mode = Every) ?reduce
-    ?(cancel = never_cancel) ~build ~pids ~depth ~prop () =
+let verdict_of acc = function
+  | Some cex -> Counterexample cex
+  | None -> Ok acc.a_count
+
+let run ?(memo = true) ?(mode = Every) ?reduce ?(cancel = never_cancel) ~build
+    ~pids ~depth ~prop () =
+  let ctx = compile ~who:"run" ~pids ~depth reduce in
   let sp = Obs.Span.start ~name:"exhaustive.run" () in
-  (* [ext] records that the caller's [cancel] fired (as opposed to the
-     internal first-counterexample-wins flag between domain workers): only
-     then does the whole run raise [Cancelled] instead of reporting. *)
-  let ext = Atomic.make false in
-  let cancel () =
-    Atomic.get ext
-    ||
-    if cancel () then begin
-      Atomic.set ext true;
-      true
-    end
-    else false
-  in
-  let explore =
-    match reduce with
-    | Some r when r.sleep || r.symmetry <> [] ->
-      let rctx = compile_reduction ~pids ~depth r in
-      fun ~cancelled ~tops acc ->
-        explore_reduced ~build ~depth ~prop ~mode ~memo ~rctx ~cancelled
-          ~tops acc
-    | Some _ | None ->
-      fun ~cancelled ~tops acc ->
-        explore ~build ~pids ~depth ~prop ~mode ~memo ~cancelled ~tops acc
-  in
-  let n_tops = List.length pids in
-  let n_workers = max 1 (min domains n_tops) in
-  let verdict, accs =
-    if n_workers <= 1 || depth = 0 then begin
-      let acc = fresh_acc () in
-      let r = explore ~cancelled:cancel ~tops:pids acc in
-      ( (match r with
-        | W_cex cex -> Counterexample cex
-        | W_ok | W_aborted -> Ok acc.a_count),
-        [ acc ] )
-    end
-    else begin
-      (* Shard the top-level branching factor: worker [w] owns the subtrees
-         whose first step is one of [tops.(w)]. Workers run independent DFSs
-         (each with its own memo table and runtimes); a found counterexample
-         raises a shared flag that the others poll, so the join is
-         first-counterexample-wins. *)
-      let tops = Array.make n_workers [] in
-      List.iteri
-        (fun i p -> tops.(i mod n_workers) <- p :: tops.(i mod n_workers))
-        pids;
-      let tops = Array.map List.rev tops in
-      let flag = Atomic.make false in
-      let cancelled () = Atomic.get flag || cancel () in
-      let accs = Array.init n_workers (fun _ -> fresh_acc ()) in
-      let worker w () =
-        let r = explore ~cancelled ~tops:tops.(w) accs.(w) in
-        (match r with W_cex _ -> Atomic.set flag true | W_ok | W_aborted -> ());
-        r
-      in
-      let ds = Array.init n_workers (fun w -> Domain.spawn (worker w)) in
-      let results = Array.map Domain.join ds in
-      let cex =
-        Array.to_list results
-        |> List.filter_map (function W_cex c -> Some c | _ -> None)
-        |> function
-        | [] -> None
-        | cexs ->
-          (* Deterministic tie-break when several workers report: prefer the
-             counterexample whose first step comes earliest in [pids]. *)
-          let rank = function
-            | [] -> max_int
-            | p :: _ ->
-              let rec idx i = function
-                | [] -> max_int
-                | q :: qs -> if Pid.equal p q then i else idx (i + 1) qs
-              in
-              idx 0 pids
-          in
-          Some
-            (List.fold_left
-               (fun best c -> if rank c < rank best then c else best)
-               (List.hd cexs) (List.tl cexs))
-      in
-      let total =
-        Array.fold_left (fun n a -> n + a.a_count) 0 accs
-      in
-      ( (match cex with Some c -> Counterexample c | None -> Ok total),
-        Array.to_list accs )
-    end
-  in
-  if Atomic.get ext then raise Cancelled;
-  (verdict, stats_of ~wall_s:(Obs.Span.elapsed_s sp) accs)
+  let acc = fresh_acc () in
+  let r = dfs ~ctx ~build ~depth ~prop ~mode ~memo ~cancel (root ctx) acc in
+  (verdict_of acc r, stats_of ~wall_s:(Obs.Span.elapsed_s sp) acc)
 
 (* ------------------------------------------------------------------ *)
-(* Frontier splitting: the work-distribution layer.
-
-   [split] explores the tree only down to [split_depth] and emits each
-   frontier node as a self-contained job: the schedule prefix plus exactly
-   the reduction context the whole-tree engine carries when it enters that
-   node — sleep mask, orbit-multiplier product, per-class used counts.
-   [run_subtree] re-enters the engine from that context (private memo, same
-   credited-count rules), so
-
-     split + run_subtree over every job + merge  =  run
-
-   for verdicts and credited counts, by construction rather than by
-   approximation:
-
-   - subtrees pruned ABOVE the frontier (sleep) are credited by the splitter
-     itself into [fr_pruned] with the engine's own formula, and orbit
-     collapses above the frontier shrink the job list exactly as they shrink
-     the engine's branching — the surviving jobs' factors sum the orbits
-     back in;
-   - subtrees pruned BELOW the frontier are credited inside each job by the
-     unmodified engine code, seeded with the frontier context;
-   - DFS order is lex order and jobs are emitted (and numbered) in DFS
-     order, so every counterexample inside job i lex-precedes every one
-     inside job j > i: folding {!merge_verdicts} over job results in any
-     order returns the sequential engine's first counterexample.
-
-   The splitter holds no memo: frontier prefixes are short, and skipping a
+(* Frontier splitting: the DFS with a cut and no memo (skipping a
    digest-equal frontier node would need the remote job's count before it
-   has run. In [Every] mode a prefix that violates the property stops the
+   has run). In [Every] mode a prefix that violates the property stops the
    split — only the jobs already emitted (all lex-smaller) can hold an even
    smaller counterexample, so the coordinator still merges those. *)
 
@@ -694,249 +497,70 @@ type split_result = {
 let split ?(mode = Every) ?reduce ~build ~pids ~depth ~split_depth ~prop () =
   if split_depth < 1 || split_depth >= depth then
     invalid_arg "Exhaustive.split: need 1 <= split_depth < depth";
+  let ctx = compile ~who:"split" ~pids ~depth reduce in
   let sp = Obs.Span.start ~name:"exhaustive.split" () in
   let acc = fresh_acc () in
-  let every = mode = Every in
-  let jobs = ref [] in
-  let next_id = ref 0 in
-  let cur = ref None in
-  let destroy_cur () =
-    match !cur with
-    | Some rt ->
-      Runtime.destroy rt;
-      cur := None
-    | None -> ()
-  in
-  let build_fresh () =
-    acc.a_built <- acc.a_built + 1;
-    let rt = build () in
-    cur := Some rt;
-    rt
+  let jobs = ref [] and next_id = ref 0 in
+  let emit prefix_rev z factor used =
+    jobs :=
+      {
+        sj_id = !next_id;
+        sj_prefix = List.rev_map (fun i -> ctx.c_pids.(i)) prefix_rev;
+        sj_sleep = List.filteri (fun i _ -> z land (1 lsl i) <> 0) pids;
+        sj_factor = factor;
+        sj_used = Array.to_list used;
+      }
+      :: !jobs;
+    incr next_id
   in
   let cex =
-    match reduce with
-    | Some r when r.sleep || r.symmetry <> [] ->
-      let rctx = compile_reduction ~pids ~depth r in
-      let n = Array.length rctx.r_pids in
-      let all = List.init n Fun.id in
-      let used = Array.map (fun _ -> 0) rctx.r_size in
-      let peek_all rt = Array.iter (Runtime.peek rt) rctx.r_pids in
-      let step rt i =
-        Runtime.step rt rctx.r_pids.(i);
-        acc.a_steps <- acc.a_steps + 1;
-        peek_all rt
-      in
-      let replay prefix_rev =
-        destroy_cur ();
-        acc.a_replays <- acc.a_replays + 1;
-        let rt = build_fresh () in
-        List.iter (step rt) (List.rev prefix_rev);
-        peek_all rt;
-        rt
-      in
-      let cex_of prefix_rev =
-        List.rev_map (fun i -> rctx.r_pids.(i)) prefix_rev
-      in
-      let emit prefix_rev z factor =
-        let id = !next_id in
-        incr next_id;
-        jobs :=
-          {
-            sj_id = id;
-            sj_prefix = cex_of prefix_rev;
-            sj_sleep =
-              List.filter_map
-                (fun i ->
-                  if z land (1 lsl i) <> 0 then Some rctx.r_pids.(i) else None)
-                all;
-            sj_factor = factor;
-            sj_used = Array.to_list used;
-          }
-          :: !jobs
-      in
-      (* The engine's [expand], with recursion below [split_depth] replaced
-         by job emission; [k] is the prefix length at the node. *)
-      let rec go rt prefix_rev k ~branch ~z ~factor =
-        let d = depth - k in
-        let fp = Array.map (Runtime.footprint rt) rctx.r_pids in
-        let rec kids live before = function
-          | [] -> None
-          | i :: rest -> (
-            let c = rctx.r_cls.(i) in
-            let sym =
-              if c < 0 then Some 1
-              else
-                let j = rctx.r_pos.(i) and u = used.(c) in
-                if j < u then Some 1
-                else if j = u then Some (rctx.r_size.(c) - u)
-                else None
-            in
-            match sym with
-            | None ->
-              acc.a_orbits <- acc.a_orbits + 1;
-              kids live before rest
-            | Some mult ->
-              if rctx.r_sleep && z land (1 lsl i) <> 0 then begin
-                acc.a_sleep <- acc.a_sleep + 1;
-                acc.a_count <-
-                  acc.a_count + (factor * mult * rctx.r_pow.(d - 1));
-                kids live before rest
-              end
-              else begin
-                let rt = if live then rt else replay prefix_rev in
-                step rt i;
-                acc.a_nodes <- acc.a_nodes + 1;
-                let prefix_rev' = i :: prefix_rev in
-                if every && not (prop rt) then Some (cex_of prefix_rev')
-                else begin
-                  let z' =
-                    if not rctx.r_sleep then 0
-                    else begin
-                      let zin = z lor before and m = ref 0 in
-                      for q = 0 to n - 1 do
-                        if
-                          zin land (1 lsl q) <> 0
-                          && Runtime.commute fp.(q) fp.(i)
-                        then m := !m lor (1 lsl q)
-                      done;
-                      !m
-                    end
-                  in
-                  let fresh_member = c >= 0 && rctx.r_pos.(i) = used.(c) in
-                  if fresh_member then used.(c) <- used.(c) + 1;
-                  let sub =
-                    if k + 1 = split_depth then begin
-                      emit prefix_rev' z' (factor * mult);
-                      None
-                    end
-                    else
-                      go rt prefix_rev' (k + 1) ~branch:all ~z:z'
-                        ~factor:(factor * mult)
-                  in
-                  if fresh_member then used.(c) <- used.(c) - 1;
-                  match sub with
-                  | Some cex -> Some cex
-                  | None -> kids false (before lor (1 lsl i)) rest
-                end
-              end)
-        in
-        kids true 0 branch
-      in
-      let rt = build_fresh () in
-      peek_all rt;
-      go rt [] 0 ~branch:all ~z:0 ~factor:1
-    | Some _ | None ->
-      let step rt p =
-        Runtime.step rt p;
-        acc.a_steps <- acc.a_steps + 1
-      in
-      let replay prefix_rev =
-        destroy_cur ();
-        acc.a_replays <- acc.a_replays + 1;
-        let rt = build_fresh () in
-        List.iter (step rt) (List.rev prefix_rev);
-        rt
-      in
-      let emit prefix_rev =
-        let id = !next_id in
-        incr next_id;
-        jobs :=
-          { sj_id = id; sj_prefix = List.rev prefix_rev; sj_sleep = [];
-            sj_factor = 1; sj_used = [] }
-          :: !jobs
-      in
-      let rec go rt prefix_rev k =
-        let rec kids live = function
-          | [] -> None
-          | p :: rest -> (
-            let rt = if live then rt else replay prefix_rev in
-            step rt p;
-            acc.a_nodes <- acc.a_nodes + 1;
-            let prefix_rev' = p :: prefix_rev in
-            if every && not (prop rt) then Some (List.rev prefix_rev')
-            else
-              let sub =
-                if k + 1 = split_depth then begin
-                  emit prefix_rev';
-                  None
-                end
-                else go rt prefix_rev' (k + 1)
-              in
-              match sub with
-              | Some cex -> Some cex
-              | None -> kids false rest)
-        in
-        kids true pids
-      in
-      let rt = build_fresh () in
-      go rt [] 0
+    dfs ~ctx ~build ~depth ~prop ~mode ~memo:false ~cancel:never_cancel
+      ~cut:(depth - split_depth) ~emit (root ctx) acc
   in
-  destroy_cur ();
   {
     fr_jobs = List.rev !jobs;
     fr_cex = cex;
     fr_pruned = acc.a_count;
-    fr_stats = stats_of ~wall_s:(Obs.Span.elapsed_s sp) [ acc ];
+    fr_stats = stats_of ~wall_s:(Obs.Span.elapsed_s sp) acc;
   }
 
 let run_subtree ?(memo = true) ?(mode = Every) ?reduce
     ?(cancel = never_cancel) ~build ~pids ~depth ~prop sj =
+  let fail msg = invalid_arg ("Exhaustive.run_subtree: " ^ msg) in
   let k = List.length sj.sj_prefix in
-  if k < 1 || k >= depth then
-    invalid_arg "Exhaustive.run_subtree: prefix length must be in [1, depth)";
-  List.iter
-    (fun p ->
-      if not (List.exists (Pid.equal p) pids) then
-        invalid_arg "Exhaustive.run_subtree: job pid not in pids")
-    (sj.sj_prefix @ sj.sj_sleep);
+  if k < 1 || k >= depth then fail "prefix length must be in [1, depth)";
+  let ctx = compile ~who:"run_subtree" ~pids ~depth reduce in
+  let idx p =
+    match Array.find_index (Pid.equal p) ctx.c_pids with
+    | Some i -> i
+    | None -> fail "job pid not in pids"
+  in
+  let s_prefix = List.map idx sj.sj_prefix in
+  let s_z = List.fold_left (fun z p -> z lor (1 lsl idx p)) 0 sj.sj_sleep in
+  let s_used = Array.make (Array.length ctx.c_size) 0 in
+  if not ctx.c_peek then begin
+    if sj.sj_factor <> 1 || sj.sj_sleep <> [] || sj.sj_used <> [] then
+      fail "job carries reduction context but no reduction is enabled"
+  end
+  else begin
+    (match sj.sj_used with
+    | [] -> ()
+    | us ->
+      if List.length us <> Array.length s_used then
+        fail "used-count list does not match symmetry classes";
+      List.iteri
+        (fun c u ->
+          if u < 0 || u > ctx.c_size.(c) then
+            fail "used count exceeds class size";
+          s_used.(c) <- u)
+        us);
+    if sj.sj_factor < 1 then fail "factor must be >= 1"
+  end;
   let sp = Obs.Span.start ~name:"exhaustive.run_subtree" () in
   let acc = fresh_acc () in
-  let result =
-    match reduce with
-    | Some r when r.sleep || r.symmetry <> [] ->
-      let rctx = compile_reduction ~pids ~depth r in
-      let idx_of p =
-        (* membership was validated above, so this terminates *)
-        let rec go i = if Pid.equal rctx.r_pids.(i) p then i else go (i + 1) in
-        go 0
-      in
-      let z0 =
-        List.fold_left (fun z p -> z lor (1 lsl idx_of p)) 0 sj.sj_sleep
-      in
-      let used0 = Array.map (fun _ -> 0) rctx.r_size in
-      (match sj.sj_used with
-      | [] -> ()
-      | us ->
-        if List.length us <> Array.length used0 then
-          invalid_arg
-            "Exhaustive.run_subtree: used-count list does not match symmetry \
-             classes";
-        List.iteri
-          (fun c u ->
-            if u < 0 || u > rctx.r_size.(c) then
-              invalid_arg
-                "Exhaustive.run_subtree: used count exceeds class size";
-            used0.(c) <- u)
-          us);
-      if sj.sj_factor < 1 then
-        invalid_arg "Exhaustive.run_subtree: factor must be >= 1";
-      explore_reduced ~prefix0:sj.sj_prefix ~z0 ~factor0:sj.sj_factor ~used0
-        ~build ~depth ~prop ~mode ~memo ~rctx ~cancelled:cancel ~tops:pids acc
-    | Some _ | None ->
-      if sj.sj_factor <> 1 || sj.sj_sleep <> [] || sj.sj_used <> [] then
-        invalid_arg
-          "Exhaustive.run_subtree: job carries reduction context but no \
-           reduction is enabled";
-      explore ~prefix0:sj.sj_prefix ~build ~pids ~depth ~prop ~mode ~memo
-        ~cancelled:cancel ~tops:pids acc
-  in
-  let verdict =
-    match result with
-    | W_cex cex -> Counterexample cex
-    | W_ok -> Ok acc.a_count
-    | W_aborted -> raise Cancelled
-  in
-  (verdict, stats_of ~wall_s:(Obs.Span.elapsed_s sp) [ acc ])
+  let seed = { s_prefix; s_z; s_factor = sj.sj_factor; s_used } in
+  let r = dfs ~ctx ~build ~depth ~prop ~mode ~memo ~cancel seed acc in
+  (verdict_of acc r, stats_of ~wall_s:(Obs.Span.elapsed_s sp) acc)
 
 (* ------------------------------------------------ subtree wire format *)
 
@@ -1015,6 +639,7 @@ let subtree_of_json j =
    yardstick. *)
 
 let run_replay ?(mode = Every) ~build ~pids ~depth ~prop () =
+  ignore (schedule_counts ~who:"run_replay" ~pids ~depth);
   let sp = Obs.Span.start ~name:"exhaustive.run_replay" () in
   let acc = fresh_acc () in
   let every = mode = Every in
@@ -1061,7 +686,7 @@ let run_replay ?(mode = Every) ~build ~pids ~depth ~prop () =
     | Some cex -> Counterexample cex
     | None -> Ok acc.a_count
   in
-  (verdict, stats_of ~wall_s:(Obs.Span.elapsed_s sp) [ acc ])
+  (verdict, stats_of ~wall_s:(Obs.Span.elapsed_s sp) acc)
 
 (* ------------------------------------------------------------------ *)
 

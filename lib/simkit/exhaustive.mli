@@ -12,22 +12,28 @@
     replayed only when the search moves to a sibling branch (effect
     continuations cannot be cloned). A state-fingerprint memo
     ({!Runtime.digest}) prunes converging interleavings while keeping the
-    reported schedule count exact, and the top-level branching factor can be
-    sharded across OCaml domains. {!stats} makes the saved work observable.
+    reported schedule count exact. {!stats} makes the saved work observable.
+
+    One DFS serves every entry point. It starts at a seeded node (the root,
+    or a frontier job's prefix and reduction context) and can cut at a
+    frontier depth, emitting jobs there instead of recursing: {!run} is the
+    DFS from the root, {!split} the DFS with the cut, {!run_subtree} the DFS
+    from a job. Parallelism lives above the engine — run {!split}'s jobs
+    anywhere and fold their results with {!merge_verdicts}/{!merge_stats}.
 
     Cost before pruning is |pids|^depth schedules: keep |pids| ≤ 4 and
-    depth ≤ 12 or so. Used to verify the agreement primitives (safe
-    agreement, commit–adopt, adoption set-agreement) against {e all}
-    interleavings rather than sampled ones.
+    depth ≤ 12 or so. Every entry point raises [Invalid_argument] before
+    exploring when |pids|^depth exceeds [max_int], so no count wraps. Used
+    to verify the agreement primitives (safe agreement, commit–adopt,
+    adoption set-agreement) against {e all} interleavings rather than
+    sampled ones.
 
     Soundness requirements on the inputs (all hold for the usual
     fresh-memory/fresh-algorithm builders):
     - [build] must be deterministic and return independent runtimes;
     - with the memo enabled, [prop] must be a function of the reached state
       as captured by {!Runtime.digest} (memory, statuses, decisions, per
-      process observations) — not of absolute event times or the trace;
-    - with [domains > 1], [build] and [prop] must not share mutable state
-      across calls (each domain builds and steps its own runtimes). *)
+      process observations) — not of absolute event times or the trace. *)
 
 type verdict =
   | Ok of int  (** number of complete schedules accounted for *)
@@ -78,8 +84,8 @@ val merge_verdicts : pids:Pid.t list -> verdict -> verdict -> verdict
     order = position order in [pids]; a strict prefix orders first).
     Associative and commutative, and — because {!split} emits jobs in DFS
     (= lex) order and each job reports its own lex-least violation — folding
-    over any permutation of a frontier's results reproduces the sequential
-    engine's counterexample. *)
+    over any permutation of a frontier's results reproduces {!run}'s
+    counterexample. *)
 
 val record_stats : ?labels:(string * string) list -> Obs.Metrics.registry -> stats -> unit
 (** Export into a metric registry: counters [exhaustive.nodes],
@@ -90,12 +96,14 @@ val record_stats : ?labels:(string * string) list -> Obs.Metrics.registry -> sta
 
 (** {1 Sound state-space reduction}
 
-    Optional pruning layers for {!run}, composing with the memo and with
-    [?domains] sharding. Both are {e credited}: a pruned subtree's complete
-    schedules are added to the count, so verdicts — including exact counts
-    and, in the sequential engine, the identity of the first counterexample
-    (DFS order is lexicographic, and the lex-least violating schedule is
-    never pruned) — match the unreduced engines. *)
+    Optional pruning layers of the one DFS, so they apply alike to {!run},
+    {!split} and {!run_subtree} and compose with the memo. Both are
+    {e credited}: a pruned subtree's complete schedules are added to the
+    count, so verdicts — exact counts and the identity of the first
+    counterexample (DFS order is lexicographic, and the lex-least violating
+    schedule is never pruned) — match an unreduced run. An unreduced run
+    goes through the same DFS but never peeks or computes footprints, so
+    its digests and {!stats} are independent of this layer. *)
 
 type reduction = {
   sleep : bool;
@@ -113,17 +121,16 @@ type reduction = {
 }
 
 val no_reduction : reduction
-(** [{ sleep = false; symmetry = [] }] — [run ~reduce:no_reduction] takes
-    the exact unreduced code path. *)
+(** [{ sleep = false; symmetry = [] }] — [run ~reduce:no_reduction] is
+    exactly the unreduced run. *)
 
 exception Cancelled
-(** Raised by {!run} when its [?cancel] hook fired: the search was
-    abandoned mid-enumeration, so {e no} verdict — not even a partial
-    count — is reported. Re-running the same configuration without
+(** Raised by {!run} and {!run_subtree} when the [?cancel] hook fired: the
+    search was abandoned mid-enumeration, so {e no} verdict — not even a
+    partial count — is reported. Re-running the same configuration without
     [?cancel] reproduces the full deterministic verdict. *)
 
 val run :
-  ?domains:int ->
   ?memo:bool ->
   ?mode:mode ->
   ?reduce:reduction ->
@@ -134,32 +141,29 @@ val run :
   prop:(Runtime.t -> bool) ->
   unit ->
   verdict * stats
-(** The incremental engine. [?cancel] (default never) is a cooperative
-    cancellation hook polled once per DFS child, in every worker: the
-    moment it returns [true] the whole run raises {!Cancelled} (after
-    stopping all domains) instead of returning — the hook the service
-    layer uses for per-request deadlines. [?domains] (default [1]) shards the top-level
-    branching factor across that many OCaml domains (capped at [|pids|]),
-    joined first-counterexample-wins: with several workers reporting, the
-    counterexample whose first step comes earliest in [pids] is returned, but
-    which counterexample is found within one worker's shard may differ from
-    the sequential engine's (all returned counterexamples are genuine).
-    [?memo] (default [true]) enables the state-fingerprint memo. [?reduce]
-    (default off) enables the reduction layers above; reduction forces every
-    process to its first suspension point eagerly ({!Runtime.peek}), so
-    [prop] must additionally not distinguish a [Fresh] process from a peeked
-    one (true of properties over memory, decisions and participation).
-    Verdicts (including exact schedule counts) are identical to
-    {!run_replay} under the soundness requirements above. *)
+(** The DFS from the root, to [depth]; a counterexample is the lex-least
+    violating schedule. [?cancel] (default never) is a cooperative cancellation
+    hook polled once per DFS child: the moment it returns [true] the run raises
+    {!Cancelled} instead of returning — the hook the service layer uses for
+    per-request deadlines. [?memo] (default [true]) enables the
+    state-fingerprint memo. [?reduce] (default off) enables the reduction layers
+    above; reduction forces every process to its first suspension point eagerly
+    ({!Runtime.peek}), so [prop] must additionally not distinguish a [Fresh]
+    process from a peeked one (true of properties over memory, decisions and
+    participation). Verdicts (including exact schedule counts) are identical to
+    {!run_replay} under the soundness requirements above. Raises
+    [Invalid_argument] before exploring when [|pids|^depth > max_int] or the
+    symmetry classes are not disjoint subsets of [pids]. *)
 
 (** {1 Frontier splitting — distributing the search}
 
-    {!split} explores only to a shallow [split_depth] and emits every
-    frontier node as a self-contained {!subtree} job carrying the schedule
-    prefix plus the exact reduction context (sleep mask, orbit-multiplier
-    product, per-class used counts) the whole-tree engine holds when it
-    enters that node. {!run_subtree} — typically on another process, via the
-    [subtree] service verb — re-enters the engine from that context. Folding
+    {!split} is the DFS cut at a shallow [split_depth], with the memo off:
+    it emits every frontier node as a self-contained {!subtree} job
+    carrying the schedule prefix plus the exact reduction context (sleep
+    mask, orbit-multiplier product, per-class used counts) the whole-tree
+    DFS holds when it enters that node. {!run_subtree} — typically on
+    another process, via the [subtree] service verb — runs the same DFS
+    seeded with that context. Folding
     {!merge_verdicts} and {!merge_stats} over the job results (in any order)
     plus the splitter's own [fr_pruned] credit reproduces {!run}'s verdict
     and exact credited schedule count; memo tables are private per job, so
@@ -200,11 +204,11 @@ val split :
   unit ->
   split_result
 (** Explore to [split_depth] (raises [Invalid_argument] unless
-    [1 <= split_depth < depth]) and emit the frontier. In [Every] mode the
-    property is checked on every prefix up to the frontier — {!run_subtree}
-    accordingly replays a job's prefix without re-checking it. [~mode],
-    [~reduce] and the scenario must match between [split] and the
-    [run_subtree] calls that consume its jobs. *)
+    [1 <= split_depth < depth], and as {!run} does) and emit the frontier.
+    In [Every] mode the property is checked on every prefix up to the
+    frontier — {!run_subtree} accordingly replays a job's prefix without
+    re-checking it. [~mode], [~reduce] and the scenario must match between
+    [split] and the [run_subtree] calls that consume its jobs. *)
 
 val run_subtree :
   ?memo:bool ->
@@ -218,12 +222,12 @@ val run_subtree :
   subtree ->
   verdict * stats
 (** Run one frontier job to the full [depth] (the same [depth] given to
-    {!split}): the prefix is replayed check-free, then the engine expands
-    the subtree under the job's seeded context with a private memo. [Ok n]
+    {!split}): the prefix is replayed check-free, then the DFS expands
+    the subtree from the job's seeded context with a private memo. [Ok n]
     is the subtree's exact credited schedule count; a counterexample is the
     full schedule (prefix included) and is the lex-least within the subtree.
-    [?cancel] as in {!run}. Raises [Invalid_argument] on a job inconsistent
-    with [~pids]/[~depth]/[~reduce]. *)
+    [?cancel] as in {!run}. Raises [Invalid_argument] as {!run} does, and
+    on a job inconsistent with [~pids]/[~depth]/[~reduce]. *)
 
 val schedule_json : Pid.t list -> Obs.Json.t
 val schedule_of_json : Obs.Json.t -> (Pid.t list, string) result

@@ -178,16 +178,18 @@ let modelcheck ~cancel params =
   let depth = pos_param ~default:8 "depth" params in
   let reduce = bool_param ~default:false "reduce" params in
   match J.member "checkpoint_dir" params with
-  | None ->
+  | None -> (
     let sc = scenario_param params in
     let red = Mcheck.Scenario.reduction sc ~reduce in
-    let verdict, stats =
+    match
       Exhaustive.run ?reduce:red ~cancel ~build:sc.Mcheck.Scenario.sc_build
         ~pids:sc.Mcheck.Scenario.sc_pids ~depth
         ~prop:sc.Mcheck.Scenario.sc_prop ()
-    in
-    modelcheck_result ~scenario:sc.Mcheck.Scenario.sc_name ~depth
-      ~n_s:sc.Mcheck.Scenario.sc_n_s ~reduce:(red <> None) (verdict, stats)
+    with
+    | exception Invalid_argument msg -> bad "%s" msg
+    | result ->
+      modelcheck_result ~scenario:sc.Mcheck.Scenario.sc_name ~depth
+        ~n_s:sc.Mcheck.Scenario.sc_n_s ~reduce:(red <> None) result)
   | Some dir_json -> (
     let dir =
       match dir_json with

@@ -151,18 +151,26 @@ let test_immediate_cancel () =
     | _ -> false
     | exception Adversary.Cancelled -> true)
 
-(* parallel runs honour cancellation too (worker domains poll the hook) *)
+(* parallel runs honour cancellation too: every frontier job (the unit a
+   checkpointed run or a fleet worker executes) and the fuzz domains *)
 let test_parallel_cancel () =
-  check_bool "exhaustive domains=2" true
-    (match
-       Exhaustive.run ~domains:2
-         ~cancel:(fun () -> true)
-         ~build:sa_build
-         ~pids:[ Pid.c 0; Pid.c 1; Pid.s 0 ]
-         ~depth:8 ~prop:sa_prop ()
-     with
-    | _ -> false
-    | exception Exhaustive.Cancelled -> true);
+  let pids = [ Pid.c 0; Pid.c 1; Pid.s 0 ] in
+  let fr =
+    Exhaustive.split ~build:sa_build ~pids ~depth:8 ~split_depth:2
+      ~prop:sa_prop ()
+  in
+  check_bool "split emits jobs" true (fr.Exhaustive.fr_jobs <> []);
+  check_bool "every exhaustive frontier job" true
+    (List.for_all
+       (fun sj ->
+         match
+           Exhaustive.run_subtree
+             ~cancel:(fun () -> true)
+             ~build:sa_build ~pids ~depth:8 ~prop:sa_prop sj
+         with
+         | _ -> false
+         | exception Exhaustive.Cancelled -> true)
+       fr.Exhaustive.fr_jobs);
   check_bool "fuzz domains=2" true
     (match
        Adversary.fuzz_target ~domains:2

@@ -44,34 +44,7 @@ let shuffle seed l =
   |> List.sort (fun (a, _) (b, _) -> compare a b)
   |> List.map snd
 
-let dist_run ?(memo = true) ?reduce ?(mode = Exhaustive.Every)
-    ?(order = Fun.id) ~build ~pids ~depth ~split_depth ~prop () =
-  let fr = Exhaustive.split ~mode ?reduce ~build ~pids ~depth ~split_depth ~prop () in
-  let results =
-    List.map
-      (fun sj ->
-        Exhaustive.run_subtree ~memo ~mode ?reduce ~build ~pids ~depth ~prop
-          sj)
-      fr.Exhaustive.fr_jobs
-  in
-  let verdict =
-    List.fold_left
-      (fun acc (v, _) -> Exhaustive.merge_verdicts ~pids acc v)
-      (Exhaustive.Ok fr.Exhaustive.fr_pruned)
-      (order results)
-  in
-  let verdict =
-    match fr.Exhaustive.fr_cex with
-    | Some cex ->
-      Exhaustive.merge_verdicts ~pids verdict (Exhaustive.Counterexample cex)
-    | None -> verdict
-  in
-  let stats =
-    List.fold_left
-      (fun acc (_, s) -> Exhaustive.merge_stats acc s)
-      fr.Exhaustive.fr_stats (order results)
-  in
-  (verdict, stats, List.length fr.Exhaustive.fr_jobs)
+let dist_run = Test_exhaustive.frontier_run
 
 (* --- partition invariance: any frontier, any merge order --- *)
 
@@ -176,6 +149,61 @@ let test_prefix_violation_stops_split () =
   | Some cex ->
     check_string "same counterexample" (verdict_str expected)
       (verdict_str (Exhaustive.Counterexample cex))
+
+(* --- golden frontiers: a checkpoint store records its job total and the
+       ids it finished, so resuming a store written by an older build needs
+       the same split, job for job. Each line of a golden file is
+       [Obs.Json.to_string (Exhaustive.subtree_json job)]; a mismatch means
+       the frontier changed, not that the file needs regenerating. --- *)
+
+let golden_frontiers =
+  (* file, scenario, n_s, depth, split depth, reduce, splitter's credit *)
+  [
+    ("safe_agreement_ns3_d10_sd3.jsonl", "safe-agreement", 3, 10, 3, false, 0);
+    ( "safe_agreement_ns2_d8_sd3_reduced.jsonl", "safe-agreement", 2, 8, 3,
+      true, 38912 );
+    ("race_false_ns1_d6_sd2.jsonl", "race-false", 1, 6, 2, false, 0);
+  ]
+
+let read_lines path =
+  let ic = open_in_bin path in
+  let rec go acc =
+    match input_line ic with
+    | l -> go (l :: acc)
+    | exception End_of_file ->
+      close_in ic;
+      List.rev acc
+  in
+  go []
+
+let test_golden_frontiers () =
+  List.iter
+    (fun (file, name, n_s, depth, split_depth, reduce, pruned) ->
+      let sc =
+        match Mcheck.Scenario.find name ~n_s with
+        | Ok sc -> sc
+        | Error e -> Alcotest.fail e
+      in
+      let fr =
+        Exhaustive.split
+          ?reduce:(Mcheck.Scenario.reduction sc ~reduce)
+          ~build:sc.Mcheck.Scenario.sc_build ~pids:sc.Mcheck.Scenario.sc_pids
+          ~depth ~split_depth ~prop:sc.Mcheck.Scenario.sc_prop ()
+      in
+      let want = read_lines (Filename.concat "golden/frontier" file) in
+      let got =
+        List.map
+          (fun sj -> Obs.Json.to_string (Exhaustive.subtree_json sj))
+          fr.Exhaustive.fr_jobs
+      in
+      Alcotest.(check int) (file ^ " job count") (List.length want)
+        (List.length got);
+      List.iter2 (check_string file) want got;
+      Alcotest.(check int) (file ^ " splitter credit") pruned
+        fr.Exhaustive.fr_pruned;
+      check_bool (file ^ " no prefix violation") true
+        (fr.Exhaustive.fr_cex = None))
+    golden_frontiers
 
 (* --- subtree jobs survive the wire format --- *)
 
@@ -421,6 +449,8 @@ let suite =
       test_counterexample_partition_invariant;
     Alcotest.test_case "prefix violation stops the split" `Quick
       test_prefix_violation_stops_split;
+    Alcotest.test_case "golden frontier job lists" `Quick
+      test_golden_frontiers;
     Alcotest.test_case "subtree json roundtrip" `Quick
       test_subtree_json_roundtrip;
     Alcotest.test_case "coordinator matches local over TCP (1/2/4 workers)"

@@ -184,7 +184,7 @@ let test_splitter_exhaustive () =
       Fmt.(list ~sep:(any " ") Simkit.Pid.pp)
       cex
 
-(* --- differential: incremental engine (+/- memo, +/- domains) must agree
+(* --- differential: incremental engine (+/- memo, frontier split) must agree
        with the replay-from-scratch baseline, verdict and count alike --- *)
 
 let mk_ns ~n_c ~n_s mem c_code =
@@ -267,24 +267,111 @@ let test_engines_agree_on_violation () =
         (verdict_str v))
     [ false; true ]
 
+(* The frontier pipeline, in-process: split at [split_depth], run every job
+   through [run_subtree], fold the merge monoids over the results in
+   [order], starting from the splitter's own credit and counterexample. This
+   is how the search is sharded across workers, so every sharded executor
+   (checkpointed runs, TCP fleets) must agree with it. *)
+let frontier_run ?(memo = true) ?reduce ?(mode = Exhaustive.Every)
+    ?(order = Fun.id) ~build ~pids ~depth ~split_depth ~prop () =
+  let fr =
+    Exhaustive.split ~mode ?reduce ~build ~pids ~depth ~split_depth ~prop ()
+  in
+  let results =
+    List.map
+      (fun sj ->
+        Exhaustive.run_subtree ~memo ~mode ?reduce ~build ~pids ~depth ~prop
+          sj)
+      fr.Exhaustive.fr_jobs
+  in
+  let verdict =
+    List.fold_left
+      (fun acc (v, _) -> Exhaustive.merge_verdicts ~pids acc v)
+      (Exhaustive.Ok fr.Exhaustive.fr_pruned)
+      (order results)
+  in
+  let verdict =
+    match fr.Exhaustive.fr_cex with
+    | Some cex ->
+      Exhaustive.merge_verdicts ~pids verdict (Exhaustive.Counterexample cex)
+    | None -> verdict
+  in
+  let stats =
+    List.fold_left
+      (fun acc (_, s) -> Exhaustive.merge_stats acc s)
+      fr.Exhaustive.fr_stats (order results)
+  in
+  (verdict, stats, List.length fr.Exhaustive.fr_jobs)
+
+(* sharding the search into frontier jobs changes nothing: for a holding
+   property and a violated one, at a shallow, a middle and the deepest
+   frontier (where the split itself meets the violation), the fold equals
+   [run] and the [run_replay] oracle — count and lex-least counterexample *)
 let test_parallel_engine_agrees () =
-  let build = race_build ~n_c:3 ~n_s:1 in
-  let pids = Pid.all ~n_c:3 ~n_s:1 in
-  let prop = race_prop_valid ~n_c:3 in
-  let seq, _ = Exhaustive.run ~build ~pids ~depth:6 ~prop () in
-  let par, _ = Exhaustive.run ~domains:4 ~build ~pids ~depth:6 ~prop () in
-  Alcotest.(check string) "sharded count = sequential count" (verdict_str seq)
-    (verdict_str par);
-  (* violation case: any domain's counterexample must be genuine *)
+  let agree ~label ~build ~pids ~prop =
+    let oracle, _ = Exhaustive.run_replay ~build ~pids ~depth:6 ~prop () in
+    let seq, _ = Exhaustive.run ~build ~pids ~depth:6 ~prop () in
+    Alcotest.(check string) (label ^ ": run = run_replay") (verdict_str oracle)
+      (verdict_str seq);
+    List.iter
+      (fun split_depth ->
+        let v, _, _ =
+          frontier_run ~order:List.rev ~build ~pids ~depth:6 ~split_depth
+            ~prop ()
+        in
+        Alcotest.(check string)
+          (Fmt.str "%s: frontier fold sd=%d = run" label split_depth)
+          (verdict_str seq) (verdict_str v))
+      [ 1; 3; 5 ];
+    seq
+  in
+  ignore
+    (agree ~label:"count" ~build:(race_build ~n_c:3 ~n_s:1)
+       ~pids:(Pid.all ~n_c:3 ~n_s:1) ~prop:(race_prop_valid ~n_c:3));
   match
-    Exhaustive.run ~domains:4 ~build:(race_build ~n_c:2 ~n_s:1)
-      ~pids:(Pid.all_c 2) ~depth:6 ~prop:race_prop_false ()
+    agree ~label:"violation" ~build:(race_build ~n_c:2 ~n_s:1)
+      ~pids:(Pid.all_c 2) ~prop:race_prop_false
   with
-  | Exhaustive.Ok _, _ -> Alcotest.fail "expected a counterexample"
-  | Exhaustive.Counterexample cex, _ ->
-    check_bool "parallel counterexample reproduces the violation" false
+  | Exhaustive.Ok _ -> Alcotest.fail "expected a counterexample"
+  | Exhaustive.Counterexample cex ->
+    check_bool "the counterexample reproduces the violation" false
       (Exhaustive.replay_ok ~build:(race_build ~n_c:2 ~n_s:1)
          ~prop:race_prop_false cex)
+
+(* --- counts never wrap: 3^41 (like 3^40) exceeds max_int, so every entry
+       point refuses before building a single runtime; 3^39 still fits --- *)
+
+let test_count_overflow_rejected () =
+  let built = ref 0 in
+  let build () =
+    incr built;
+    race_build ~n_c:2 ~n_s:1 ()
+  in
+  let pids = Pid.all ~n_c:2 ~n_s:1 in
+  let prop = race_prop_valid ~n_c:2 in
+  let reduce = { Exhaustive.sleep = true; symmetry = [] } in
+  let job =
+    { Exhaustive.sj_id = 0; sj_prefix = [ List.hd pids ]; sj_sleep = [];
+      sj_factor = 1; sj_used = [] }
+  in
+  let rejected name f =
+    check_bool (name ^ " rejects 3^41") true
+      (match f () with _ -> false | exception Invalid_argument _ -> true)
+  in
+  rejected "run" (fun () -> Exhaustive.run ~build ~pids ~depth:41 ~prop ());
+  rejected "run reduced" (fun () ->
+      Exhaustive.run ~reduce ~build ~pids ~depth:41 ~prop ());
+  rejected "split" (fun () ->
+      Exhaustive.split ~build ~pids ~depth:41 ~split_depth:2 ~prop ());
+  rejected "run_subtree" (fun () ->
+      Exhaustive.run_subtree ~build ~pids ~depth:41 ~prop job);
+  rejected "run_replay" (fun () ->
+      Exhaustive.run_replay ~build ~pids ~depth:41 ~prop ());
+  Alcotest.(check int) "no runtime built" 0 !built;
+  check_bool "3^39 is accepted" true
+    (match Exhaustive.split ~build ~pids ~depth:39 ~split_depth:1 ~prop () with
+    | fr -> List.length fr.Exhaustive.fr_jobs = 3
+    | exception Invalid_argument _ -> false)
 
 (* --- determinism: a reported counterexample replays to the same violation,
        and re-running the checker reports the same schedule --- *)
@@ -402,6 +489,8 @@ let suite =
       test_engines_agree_on_violation;
     Alcotest.test_case "parallel sharding agrees" `Quick
       test_parallel_engine_agrees;
+    Alcotest.test_case "schedule-count overflow rejected" `Quick
+      test_count_overflow_rejected;
     Alcotest.test_case "counterexamples replay deterministically" `Quick
       test_counterexample_replays;
     Alcotest.test_case "incremental engine >= 3x fewer steps" `Quick

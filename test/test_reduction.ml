@@ -1,11 +1,12 @@
 (* The reduction layers of the exhaustive checker, proven differentially:
    sleep-set partial-order reduction and symmetry reduction must change how
    much work the checker does, and nothing else — same verdict, same exact
-   schedule count, same counterexample as the unreduced engines, at 1 and 4
-   domains. Plus direct soundness checks on the two ingredients: the
-   independence relation (commuting adjacent independent steps preserves
-   final digests) and the orbit accounting (canonical representatives
-   weighted by orbit size partition the full schedule space). *)
+   schedule count, same counterexample as the unreduced engines, whole or
+   sharded into frontier jobs. Plus direct soundness checks on the two
+   ingredients: the independence relation (commuting adjacent independent
+   steps preserves final digests) and the orbit accounting (canonical
+   representatives weighted by orbit size partition the full schedule
+   space). *)
 
 open Simkit
 
@@ -19,6 +20,13 @@ let s_class n_s = [ Pid.all_s n_s ]
 
 let assert_engines_agree ~label ~build ~pids ~depth ~mode ~prop ~reduce =
   let oracle, _ = Exhaustive.run_replay ~mode ~build ~pids ~depth ~prop () in
+  let fold ?reduce () =
+    let v, st, _ =
+      Test_exhaustive.frontier_run ?reduce ~order:List.rev ~mode ~build ~pids
+        ~depth ~split_depth:2 ~prop ()
+    in
+    (v, st)
+  in
   List.iter
     (fun (variant, run) ->
       let v, _ = run () in
@@ -29,13 +37,8 @@ let assert_engines_agree ~label ~build ~pids ~depth ~mode ~prop ~reduce =
         fun () -> Exhaustive.run ~mode ~build ~pids ~depth ~prop () );
       ( "reduced",
         fun () -> Exhaustive.run ~reduce ~mode ~build ~pids ~depth ~prop () );
-      ( "memo x4",
-        fun () ->
-          Exhaustive.run ~domains:4 ~mode ~build ~pids ~depth ~prop () );
-      ( "reduced x4",
-        fun () ->
-          Exhaustive.run ~domains:4 ~reduce ~mode ~build ~pids ~depth ~prop ()
-      );
+      ("memo frontier fold", fun () -> fold ?reduce:None ());
+      ("reduced frontier fold", fun () -> fold ~reduce ());
     ]
 
 let test_differential_safe_agreement () =
@@ -64,7 +67,7 @@ let test_differential_safe_agreement () =
 
 let test_differential_commit_adopt () =
   (* outcome encoded into the decision value (2v + commit-bit) so the
-     property is a pure state function — shareable across domains. *)
+     property is a pure state function. *)
   let build () =
     let mem = Memory.create () in
     let ca = Bglib.Commit_adopt.create mem ~n:2 in
@@ -181,12 +184,17 @@ let test_differential_violation () =
       ( "reduced",
         fun () -> Exhaustive.run ~reduce ~build ~pids ~depth:6 ~prop () );
     ];
-  (* sharded reduced run: any reported counterexample must be genuine *)
+  (* sharded into frontier jobs: the same lex-least counterexample, and it
+     replays to the violation *)
   match
-    Exhaustive.run ~domains:4 ~reduce ~build ~pids ~depth:6 ~prop ()
+    Test_exhaustive.frontier_run ~reduce ~order:List.rev ~build ~pids ~depth:6
+      ~split_depth:3 ~prop ()
   with
-  | Exhaustive.Ok _, _ -> Alcotest.fail "expected a counterexample"
-  | Exhaustive.Counterexample cex, _ ->
+  | (Exhaustive.Ok _ as v), _, _ ->
+    Alcotest.failf "expected a counterexample, got %s" (verdict_str v)
+  | (Exhaustive.Counterexample cex as v), _, _ ->
+    Alcotest.(check string) "violation reduced frontier fold"
+      (verdict_str oracle) (verdict_str v);
     check_bool "sharded reduced counterexample reproduces the violation"
       false
       (Exhaustive.replay_ok ~build ~prop cex)

@@ -619,6 +619,22 @@ let test_server_deadline_bomb () =
         Alcotest.failf "max deadline: %s" (Svc.Client.error_string e));
       Svc.Client.close c)
 
+(* A depth whose schedule count exceeds max_int (3 pids, depth 41) used to
+   run and report a wrapped count; the engine now refuses it up front and
+   the job layer turns that into a bad_request, as it does for subtrees. *)
+let test_jobs_modelcheck_overflow_bad_request () =
+  let params =
+    J.Obj
+      [ ("scenario", J.Str "safe-agreement"); ("n_s", J.Int 1);
+        ("depth", J.Int 41) ]
+  in
+  match Svc.Jobs.run P.Modelcheck params with
+  | Error (P.Bad_request, msg) ->
+    check_bool "names the overflow" true
+      (Option.is_some (String.index_opt msg '^'))
+  | Error (_, msg) -> Alcotest.failf "expected bad_request, got error %s" msg
+  | Ok j -> Alcotest.failf "expected bad_request, got %s" (J.to_string j)
+
 let test_deadline_cancel_first_poll () =
   (* the cancel hook must consult the clock on its FIRST call: a deadline
      already expired at dispatch used to survive 255 polls of the throttle
@@ -1074,6 +1090,8 @@ let suite =
       test_server_deadline_bomb;
     Alcotest.test_case "pool: expired deadline cancels on first poll" `Quick
       test_deadline_cancel_first_poll;
+    Alcotest.test_case "jobs: modelcheck count overflow is a bad request"
+      `Quick test_jobs_modelcheck_overflow_bad_request;
     Alcotest.test_case "server: pipelined requests complete out of order"
       `Quick test_server_pipelining_out_of_order;
     Alcotest.test_case "server: overlong reply degrades to oversized" `Quick
