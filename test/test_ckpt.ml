@@ -254,6 +254,215 @@ let test_record_validation () =
       | j -> j);
   reject "not an object" (fun _ -> J.Str "nope")
 
+(* ---------------------------------------------- the checkpointed engine *)
+
+let scenario name ~n_s =
+  match Mcheck.Scenario.find name ~n_s with
+  | Ok sc -> sc
+  | Error e -> Alcotest.fail e
+
+let verdict_str = Test_exhaustive.verdict_str
+
+(* Every per-job integer stat is deterministic, so a partitioned run's
+   merged stats are too: a resumed run must match an uninterrupted one on
+   everything but [wall_s]. *)
+let stats_str st =
+  J.to_string (Exhaustive.stats_json { st with Exhaustive.wall_s = 0. })
+
+let monolithic sc ~depth ~reduce =
+  fst
+    (Exhaustive.run
+       ?reduce:(Mcheck.Scenario.reduction sc ~reduce)
+       ~build:sc.Mcheck.Scenario.sc_build ~pids:sc.Mcheck.Scenario.sc_pids
+       ~depth ~prop:sc.Mcheck.Scenario.sc_prop ())
+
+(* scenario, n_s, depth, reduce: a safe run and a counterexample, each
+   plain and reduced *)
+let engine_cases =
+  [
+    ("safe-agreement", 2, 6, false);
+    ("safe-agreement", 2, 6, true);
+    ("race-false", 2, 6, false);
+    ("race-false", 2, 6, true);
+  ]
+
+let case_label (name, n_s, depth, reduce) =
+  Printf.sprintf "%s n_s %d depth %d reduce %b" name n_s depth reduce
+
+let local_run ?cancel ?(interval_s = 0.) store (name, n_s, depth, reduce) =
+  match
+    Ckpt.Local.run ~interval_s ~reduce ?cancel ~store
+      ~scenario:(scenario name ~n_s) ~depth ()
+  with
+  | Ok r -> r
+  | Error e -> Alcotest.failf "Ckpt.Local.run: %s" e
+
+let load_record store =
+  match Ckpt.Local.load_record store with
+  | Ok (_, r) -> r
+  | Error e -> Alcotest.failf "load_record: %s" e
+
+let save_record store r =
+  match Ckpt.Store.save store (Ckpt.Record.json r) with
+  | Ok _ -> ()
+  | Error e -> Alcotest.failf "save: %s" e
+
+(* An uninterrupted run's verdict and stats, plus a record holding only
+   the first half of its answered jobs — the state a run killed half-way
+   leaves behind. *)
+let half_done case =
+  with_store (fun store ->
+      let verdict, stats = local_run store case in
+      let full = load_record store in
+      let total = full.Ckpt.Record.ck_total in
+      let half =
+        List.filteri (fun i _ -> i < total / 2) full.Ckpt.Record.ck_done
+      in
+      check_int "full record answers every job" total
+        (List.length full.Ckpt.Record.ck_done);
+      ( verdict,
+        stats,
+        Ckpt.Record.make ~config:full.Ckpt.Record.ck_config ~total
+          ~done_:half ))
+
+let test_local_matches_run () =
+  List.iter
+    (fun ((name, n_s, depth, reduce) as case) ->
+      with_store (fun store ->
+          let verdict, _ = local_run store case in
+          Alcotest.(check string)
+            (case_label case)
+            (verdict_str (monolithic (scenario name ~n_s) ~depth ~reduce))
+            (verdict_str verdict)))
+    engine_cases
+
+let test_local_resume_half () =
+  List.iter
+    (fun case ->
+      let verdict, stats, half = half_done case in
+      with_store (fun store ->
+          save_record store half;
+          match Ckpt.Local.resume ~interval_s:0. ~store () with
+          | Error e -> Alcotest.failf "%s: resume: %s" (case_label case) e
+          | Ok (config, verdict', stats') ->
+            check_bool "config from the record" true
+              (config = half.Ckpt.Record.ck_config);
+            Alcotest.(check string)
+              (case_label case ^ " verdict")
+              (verdict_str verdict) (verdict_str verdict');
+            Alcotest.(check string)
+              (case_label case ^ " stats")
+              (stats_str stats) (stats_str stats');
+            check_int "the final record answers every job"
+              half.Ckpt.Record.ck_total
+              (List.length (load_record store).Ckpt.Record.ck_done)))
+    engine_cases
+
+(* A record the frontier cannot have produced is refused, not merged. *)
+let test_local_resume_rejects () =
+  let _, _, half = half_done (List.hd engine_cases) in
+  let config = half.Ckpt.Record.ck_config in
+  let rejects what r =
+    with_store (fun store ->
+        save_record store r;
+        match Ckpt.Local.resume ~store () with
+        | Error _ -> ()
+        | Ok _ -> Alcotest.failf "%s: resumed" what)
+  in
+  rejects "wrong job total"
+    (Ckpt.Record.make ~config ~total:(half.Ckpt.Record.ck_total + 1)
+       ~done_:half.Ckpt.Record.ck_done);
+  rejects "unknown scenario"
+    {
+      half with
+      Ckpt.Record.ck_config =
+        { config with Ckpt.Record.cf_scenario = "no-such-scenario" };
+    };
+  rejects "split depth at full depth"
+    {
+      half with
+      Ckpt.Record.ck_config =
+        { config with Ckpt.Record.cf_split_depth = config.Ckpt.Record.cf_depth };
+    }
+
+(* A deadline that fires mid-run persists the answered jobs before the
+   exception surfaces; resuming that store finishes with the uninterrupted
+   answer. The interval is long, so only the cancel path journals them. *)
+let test_local_cancel_resumes () =
+  let case = ("safe-agreement", 2, 6, false) in
+  let verdict, stats, _ = half_done case in
+  with_store (fun store ->
+      let polls = ref 0 in
+      let cancel () =
+        incr polls;
+        !polls > 1500
+      in
+      (match local_run ~cancel ~interval_s:3600. store case with
+      | exception Exhaustive.Cancelled -> ()
+      | _ -> Alcotest.fail "the cancel hook never fired");
+      let saved = load_record store in
+      check_bool "progress persisted on cancel" true
+        (saved.Ckpt.Record.ck_done <> []
+        && List.length saved.Ckpt.Record.ck_done < saved.Ckpt.Record.ck_total);
+      match Ckpt.Local.resume ~store () with
+      | Error e -> Alcotest.failf "resume: %s" e
+      | Ok (_, verdict', stats') ->
+        Alcotest.(check string) "verdict" (verdict_str verdict)
+          (verdict_str verdict');
+        Alcotest.(check string) "stats" (stats_str stats) (stats_str stats'))
+
+(* Stores written by an earlier build: one newest generation each, cut
+   part-way through a run (binary codec, and JSON with a recorded
+   counterexample), next to the fields that build's own resume printed. *)
+let golden_stores =
+  [ "safe_agreement_ns2_d6"; "race_false_ns1_d6_reduced" ]
+
+let test_golden_store_resumes () =
+  List.iter
+    (fun name ->
+      let src = Filename.concat "golden/ckpt" name in
+      with_store (fun store ->
+          Array.iter
+            (fun f ->
+              write_file
+                (Filename.concat (Ckpt.Store.dir store) f)
+                (read_file (Filename.concat src f)))
+            (Sys.readdir src);
+          match Ckpt.Store.create (Ckpt.Store.dir store) with
+          | Error e -> Alcotest.failf "%s: reopen: %s" name e
+          | Ok store -> (
+            match Ckpt.Local.resume ~store () with
+            | Error e -> Alcotest.failf "%s: resume: %s" name e
+            | Ok (_, verdict, stats) ->
+              let got =
+                J.Obj
+                  [
+                    ( "verdict",
+                      J.Str
+                        (match verdict with
+                        | Exhaustive.Ok _ -> "ok"
+                        | Exhaustive.Counterexample _ -> "counterexample") );
+                    ( "schedules",
+                      match verdict with
+                      | Exhaustive.Ok n -> J.Int n
+                      | Exhaustive.Counterexample _ -> J.Null );
+                    ( "cex",
+                      match verdict with
+                      | Exhaustive.Ok _ -> J.Null
+                      | Exhaustive.Counterexample c ->
+                        Exhaustive.schedule_json c );
+                    ( "stats",
+                      Exhaustive.stats_json
+                        { stats with Exhaustive.wall_s = 0. } );
+                  ]
+              in
+              let want =
+                String.trim
+                  (read_file (Filename.concat "golden/ckpt" (name ^ ".expected.json")))
+              in
+              Alcotest.(check string) name want (J.to_string got))))
+    golden_stores
+
 let suite =
   [
     roundtrip_test Ckpt.Store.Json "store round-trip (json codec)";
@@ -267,4 +476,14 @@ let suite =
     Alcotest.test_case "empty store and stray files" `Quick
       test_empty_and_garbage;
     Alcotest.test_case "record validation" `Quick test_record_validation;
+    Alcotest.test_case "checkpointed run matches the monolithic run" `Quick
+      test_local_matches_run;
+    Alcotest.test_case "half-answered store resumes to the full result"
+      `Quick test_local_resume_half;
+    Alcotest.test_case "resume rejects a mismatched record" `Quick
+      test_local_resume_rejects;
+    Alcotest.test_case "cancelled run resumes to the same answer" `Quick
+      test_local_cancel_resumes;
+    Alcotest.test_case "earlier build's golden stores resume" `Quick
+      test_golden_store_resumes;
   ]

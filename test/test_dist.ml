@@ -439,6 +439,67 @@ let test_coordinator_survives_dead_worker () =
   | Error _ -> ()
   | Ok _ -> Alcotest.fail "all-dead fleet reported success"
 
+(* --- the journaling coordinator: resume a half-answered store --- *)
+
+let fleet_resume ~workers ~store (r : Ckpt.Record.t) =
+  let config = r.Ckpt.Record.ck_config in
+  Dist.Coordinator.run ~split_depth:config.Ckpt.Record.cf_split_depth
+    ~reduce:config.Ckpt.Record.cf_reduce ~checkpoint:(store, 0.) ~resume:r
+    ~scenario:
+      (Test_ckpt.scenario config.Ckpt.Record.cf_scenario
+         ~n_s:config.Ckpt.Record.cf_n_s)
+    ~depth:config.Ckpt.Record.cf_depth ~workers ()
+  |> Result.map (fun r ->
+         (r.Dist.Coordinator.r_verdict, r.Dist.Coordinator.r_stats))
+
+let test_coordinator_resumes_half () =
+  with_tcp_workers 2 (fun servers ->
+      let workers = List.map snd servers in
+      List.iter
+        (fun case ->
+          let label = Test_ckpt.case_label case in
+          let verdict, stats, half = Test_ckpt.half_done case in
+          Test_ckpt.with_store (fun store ->
+              Test_ckpt.save_record store half;
+              match fleet_resume ~workers ~store half with
+              | Error e -> Alcotest.failf "%s: %s" label e
+              | Ok (verdict', stats') ->
+                check_string (label ^ " verdict") (verdict_str verdict)
+                  (verdict_str verdict');
+                check_string (label ^ " stats") (Test_ckpt.stats_str stats)
+                  (Test_ckpt.stats_str stats');
+                Alcotest.(check int)
+                  (label ^ ": final record answers every job")
+                  half.Ckpt.Record.ck_total
+                  (List.length
+                     (Test_ckpt.load_record store).Ckpt.Record.ck_done)))
+        Test_ckpt.engine_cases)
+
+let test_coordinator_resume_rejects () =
+  let _, _, half = Test_ckpt.half_done (List.hd Test_ckpt.engine_cases) in
+  let config = half.Ckpt.Record.ck_config in
+  with_tcp_workers 1 (fun servers ->
+      let workers = List.map snd servers in
+      let rejects what r =
+        Test_ckpt.with_store (fun store ->
+            match fleet_resume ~workers ~store r with
+            | Error _ -> ()
+            | Ok _ -> Alcotest.failf "%s: resumed" what)
+      in
+      rejects "wrong job total"
+        (Ckpt.Record.make ~config ~total:(half.Ckpt.Record.ck_total + 1)
+           ~done_:half.Ckpt.Record.ck_done);
+      (* the run's own config differs from the record's *)
+      Test_ckpt.with_store (fun store ->
+          match
+            Dist.Coordinator.run ~checkpoint:(store, 0.) ~resume:half
+              ~scenario:(Test_ckpt.scenario config.Ckpt.Record.cf_scenario
+                           ~n_s:config.Ckpt.Record.cf_n_s)
+              ~depth:(config.Ckpt.Record.cf_depth + 1) ~workers ()
+          with
+          | Error _ -> ()
+          | Ok _ -> Alcotest.fail "wrong config: resumed"))
+
 let suite =
   [
     Alcotest.test_case "partition matches run (all frontiers, orders)" `Quick
@@ -457,6 +518,10 @@ let suite =
       `Quick test_coordinator_matches_local;
     Alcotest.test_case "coordinator survives a dead worker" `Quick
       test_coordinator_survives_dead_worker;
+    Alcotest.test_case "fleet resumes a half-answered store" `Quick
+      test_coordinator_resumes_half;
+    Alcotest.test_case "fleet resume rejects a mismatched record" `Quick
+      test_coordinator_resume_rejects;
     QCheck_alcotest.to_alcotest prop_merge_stats_monoid;
     QCheck_alcotest.to_alcotest prop_merge_verdicts_monoid;
     QCheck_alcotest.to_alcotest prop_partition_counts;
