@@ -1672,7 +1672,7 @@ let dist_bench () =
   in
   Fmt.pr "  safe-agreement, depth %d, n_s %d, reduce (split depth %d):@."
     depth n_s
-    (Dist.Coordinator.default_split_depth ~depth);
+    (Ckpt.Frontier.default_split_depth ~depth);
   Fmt.pr "  %-10s %8s %8s %8s %10s %12s@." "workers" "used" "jobs" "redisp"
     "wall" "subtrees/s";
   line ();
@@ -1759,7 +1759,7 @@ let ckpt_bench () =
     | Stdlib.Ok sc -> sc
     | Stdlib.Error e -> failwith e
   in
-  let split_depth = Ckpt.Local.default_split_depth ~depth in
+  let split_depth = Ckpt.Frontier.default_split_depth ~depth in
   let build = sc.Mcheck.Scenario.sc_build in
   let pids = sc.Mcheck.Scenario.sc_pids in
   let prop = sc.Mcheck.Scenario.sc_prop in
@@ -1781,13 +1781,7 @@ let ckpt_bench () =
     !best
   in
   let tmp_store () =
-    let dir =
-      Filename.concat
-        (Filename.get_temp_dir_name ())
-        (Printf.sprintf "wfa-bench-ckpt-%d-%d" (Unix.getpid ())
-           (int_of_float (Unix.gettimeofday () *. 1e6) land 0xffffff))
-    in
-    match Ckpt.Store.create dir with
+    match Ckpt.Store.create (Filename.temp_dir "wfa-bench-ckpt-" "") with
     | Stdlib.Ok s -> s
     | Stdlib.Error e -> failwith e
   in
@@ -1815,15 +1809,9 @@ let ckpt_bench () =
      isolates what the checkpoint subsystem itself costs *)
   let run_split_plain () =
     let fr = Exhaustive.split ~build ~pids ~depth ~split_depth ~prop () in
-    let verdict, _ =
-      List.fold_left
-        (fun (v, st) sj ->
-          let v', st' = Exhaustive.run_subtree ~build ~pids ~depth ~prop sj in
-          (Exhaustive.merge_verdicts ~pids v v', Exhaustive.merge_stats st st'))
-        (Exhaustive.Ok fr.Exhaustive.fr_pruned, fr.Exhaustive.fr_stats)
-        fr.Exhaustive.fr_jobs
-    in
-    credited verdict
+    List.map (Exhaustive.run_subtree ~build ~pids ~depth ~prop) fr.fr_jobs
+    |> Exhaustive.merge_frontier ~pids fr
+    |> fst |> credited
   in
   (* default interval: a sub-second depth-8 run journals the initial and
      final generations only — the steady-state cost of running under

@@ -151,6 +151,11 @@ let write_json path json =
     Fmt.epr "wfa: cannot write --json output: %s@." msg;
     exit 2
 
+(* A usage or configuration error: say so on stderr, exit 2. *)
+let fail ~cmd msg =
+  Fmt.epr "wfa %s: %s@." cmd msg;
+  2
+
 (* Run one scenario file through the same local path the campaign runner
    and the server's workers use (Svc.Jobs.run), and reflect the scenario's
    expectation in the exit code: pass 0, fail/timeout 1, load or
@@ -158,9 +163,7 @@ let write_json path json =
    the file is the whole configuration. *)
 let run_scenario_file ~cmd path =
   match Scenario.Spec.load path with
-  | Error msg ->
-    Fmt.epr "wfa %s: %s@." cmd msg;
-    2
+  | Error msg -> fail ~cmd msg
   | Ok sp ->
     let verb = Scenario.Spec.verb sp in
     if verb <> cmd then begin
@@ -264,9 +267,7 @@ let fuzz scenario_file kind n j seed trials domains do_shrink explain json =
   | Some path -> run_scenario_file ~cmd:"fuzz" path
   | None ->
   match Scenario.Build.fuzz_target kind ~n ~j with
-  | Error msg ->
-    Fmt.epr "wfa fuzz: %s@." msg;
-    2
+  | Error msg -> fail ~cmd:"fuzz" msg
   | Ok target ->
   let res = Adversary.fuzz_target ~domains ~seed ~budget:trials target () in
   Fmt.pr "target   %s@.trials   %d/%d (%d domain%s, %.3fs, %.0f seeds/s)@."
@@ -378,22 +379,16 @@ let finish_check ~scenario ~depth ~n_s ~reduce ~json ~engine ~dist_fields
               ("depth", Obs.Json.Int depth);
               ("n_s", Obs.Json.Int n_s);
               ("reduce", Obs.Json.Bool reduce);
-              ( "verdict",
-                Obs.Json.Str
-                  (match verdict with
-                  | Exhaustive.Ok _ -> "ok"
-                  | Exhaustive.Counterexample _ -> "counterexample") );
-              ( "schedules",
-                match verdict with
-                | Exhaustive.Ok n -> Obs.Json.Int n
-                | Exhaustive.Counterexample _ -> Obs.Json.Null );
-              (* mirrored at top level so local and distributed runs
-                 diff field-for-field without digging into stats *)
-              ("sleep_pruned", Obs.Json.Int stats.Exhaustive.sleep_pruned);
-              ( "orbits_collapsed",
-                Obs.Json.Int stats.Exhaustive.orbits_collapsed );
-              ("stats", Exhaustive.stats_json stats);
             ]
+           @ Exhaustive.verdict_fields verdict
+           @ [
+               (* mirrored at top level so local and distributed runs
+                  diff field-for-field without digging into stats *)
+               ("sleep_pruned", Obs.Json.Int stats.Exhaustive.sleep_pruned);
+               ( "orbits_collapsed",
+                 Obs.Json.Int stats.Exhaustive.orbits_collapsed );
+               ("stats", Exhaustive.stats_json stats);
+             ]
            @ dist_fields)))
     json;
   match verdict with
@@ -407,32 +402,61 @@ let finish_check ~scenario ~depth ~n_s ~reduce ~json ~engine ~dist_fields
       cex;
     1
 
-let dist_report ~workers r =
+let dist_report (o : Dist.Coordinator.fleet Ckpt.Frontier.outcome) =
+  let workers = List.length o.executor.workers in
   let dead =
-    List.filter
-      (fun w -> w.Dist.Coordinator.wk_dead)
-      r.Dist.Coordinator.r_workers
+    List.filter (fun w -> w.Dist.Coordinator.wk_dead) o.executor.workers
   in
   Fmt.pr "dist:   %d workers (%d failed), %d subtree jobs, %d re-dispatched@."
-    (List.length workers) (List.length dead) r.Dist.Coordinator.r_jobs
-    r.Dist.Coordinator.r_redispatched;
+    workers (List.length dead) o.jobs o.executor.redispatched;
   [
     ( "dist",
       Obs.Json.Obj
         [
-          ("workers", Obs.Json.Int (List.length workers));
+          ("workers", Obs.Json.Int workers);
           ("workers_dead", Obs.Json.Int (List.length dead));
-          ("jobs", Obs.Json.Int r.Dist.Coordinator.r_jobs);
-          ("redispatched", Obs.Json.Int r.Dist.Coordinator.r_redispatched);
-          ( "frontier_pruned",
-            Obs.Json.Int r.Dist.Coordinator.r_frontier_pruned );
+          ("jobs", Obs.Json.Int o.jobs);
+          ("redispatched", Obs.Json.Int o.executor.redispatched);
+          ("frontier_pruned", Obs.Json.Int o.pruned);
         ] );
   ]
 
-let ckpt_field ~dir ~resumed =
-  ( "checkpoint",
-    Obs.Json.Obj
-      [ ("dir", Obs.Json.Str dir); ("resumed", Obs.Json.Bool resumed) ] )
+(* A fresh or resumed frontier-driver run, waiting for its executor. *)
+type start = {
+  start :
+    'a. 'a Ckpt.Frontier.executor -> ('a Ckpt.Frontier.outcome, string) result;
+}
+
+(* The partitioned check behind modelcheck --checkpoint/--workers and
+   resume: the in-process executor, or a fleet when workers are given. *)
+let partitioned ~cmd ~workers ~finish ?store ~resumed { start } =
+  let ckpt_fields =
+    match store with
+    | None -> []
+    | Some store ->
+      [
+        ( "checkpoint",
+          Obs.Json.Obj
+            [
+              ("dir", Obs.Json.Str (Ckpt.Store.dir store));
+              ("resumed", Obs.Json.Bool resumed);
+            ] );
+      ]
+  in
+  let report ~engine dist_fields = function
+    | Error msg -> fail ~cmd msg
+    | Ok o ->
+      finish ~engine ~dist_fields:(dist_fields o @ ckpt_fields)
+        o.Ckpt.Frontier.verdict o.stats
+  in
+  match workers with
+  | [] ->
+    report ~engine:"checkpointed" (fun _ -> []) (start (Ckpt.Local.executor ()))
+  | workers -> (
+    match Dist.Coordinator.executor workers with
+    | Error msg -> fail ~cmd msg
+    | Ok exec ->
+      report ~engine:"distributed" dist_report (start exec))
 
 let modelcheck scenario_file depth n_s reduce scenario workers split_depth
     checkpoint checkpoint_interval_s json =
@@ -447,9 +471,7 @@ let modelcheck scenario_file depth n_s reduce scenario workers split_depth
      verdict and credited count identical to the local run. *)
   let n_s = max 1 n_s in
   match Mcheck.Scenario.find scenario ~n_s with
-  | Error msg ->
-    Fmt.epr "wfa modelcheck: %s@." msg;
-    2
+  | Error msg -> fail ~cmd:"modelcheck" msg
   | Ok sc -> (
     let finish =
       finish_check ~scenario:sc.Mcheck.Scenario.sc_name ~depth ~n_s ~reduce
@@ -458,125 +480,59 @@ let modelcheck scenario_file depth n_s reduce scenario workers split_depth
     let store =
       match checkpoint with
       | None -> Ok None
-      | Some dir ->
-        Result.map (fun s -> Some (dir, s)) (Ckpt.Store.create dir)
+      | Some dir -> Result.map Option.some (Ckpt.Store.create dir)
     in
     match store with
-    | Error msg ->
-      Fmt.epr "wfa modelcheck: %s@." msg;
-      2
-    | Ok store -> (
-      match (workers, store) with
-      | [], None -> (
-        let red = Mcheck.Scenario.reduction sc ~reduce in
-        match
-          Exhaustive.run ?reduce:red ~build:sc.Mcheck.Scenario.sc_build
-            ~pids:sc.Mcheck.Scenario.sc_pids ~depth
-            ~prop:sc.Mcheck.Scenario.sc_prop ()
-        with
-        | exception Invalid_argument msg ->
-          Fmt.epr "wfa modelcheck: %s@." msg;
-          2
-        | verdict, stats ->
-          finish
-            ~engine:
-              (if red = None then "incremental+memo"
-               else "incremental+memo+sleep+symmetry")
-            ~dist_fields:[] verdict stats)
-      | [], Some (dir, store) -> (
-        match
-          Ckpt.Local.run ~interval_s:checkpoint_interval_s ?split_depth
-            ~reduce ~store ~scenario:sc ~depth ()
-        with
-        | Error msg ->
-          Fmt.epr "wfa modelcheck: %s@." msg;
-          2
-        | Ok (verdict, stats) ->
-          finish ~engine:"checkpointed"
-            ~dist_fields:[ ckpt_field ~dir ~resumed:false ]
-            verdict stats)
-      | workers, store -> (
-        let checkpoint =
-          Option.map
-            (fun (_, s) -> (s, checkpoint_interval_s))
-            store
-        in
-        match
-          Dist.Coordinator.run ?split_depth ?checkpoint ~reduce ~scenario:sc
-            ~depth ~workers ()
-        with
-        | Error msg ->
-          Fmt.epr "wfa modelcheck: %s@." msg;
-          2
-        | Ok r ->
-          let dist_fields = dist_report ~workers r in
-          let dist_fields =
-            match store with
-            | None -> dist_fields
-            | Some (dir, _) -> dist_fields @ [ ckpt_field ~dir ~resumed:false ]
-          in
-          finish ~engine:"distributed" ~dist_fields
-            r.Dist.Coordinator.r_verdict r.Dist.Coordinator.r_stats)))
+    | Error msg -> fail ~cmd:"modelcheck" msg
+    | Ok None when workers = [] -> (
+      let red = Mcheck.Scenario.reduction sc ~reduce in
+      match
+        Exhaustive.run ?reduce:red ~build:sc.Mcheck.Scenario.sc_build
+          ~pids:sc.Mcheck.Scenario.sc_pids ~depth
+          ~prop:sc.Mcheck.Scenario.sc_prop ()
+      with
+      | exception Invalid_argument msg -> fail ~cmd:"modelcheck" msg
+      | verdict, stats ->
+        finish
+          ~engine:
+            (if red = None then "incremental+memo"
+             else "incremental+memo+sleep+symmetry")
+          ~dist_fields:[] verdict stats)
+    | Ok store ->
+      let journal = Option.map (fun s -> (s, checkpoint_interval_s)) store in
+      partitioned ~cmd:"modelcheck" ~workers ~finish ?store ~resumed:false
+        {
+          start =
+            (fun exec ->
+              Ckpt.Frontier.run ?journal ?split_depth ~reduce ~scenario:sc
+                ~depth exec);
+        })
 
 let resume dir workers checkpoint_interval_s json =
   (* pick the run back up from its journal: the record's config decides
      scenario/depth/reduce/split-depth, the caller only decides the fleet *)
   match Ckpt.Store.create dir with
-  | Error msg ->
-    Fmt.epr "wfa resume: %s@." msg;
-    2
+  | Error msg -> fail ~cmd:"resume" msg
   | Ok store -> (
     match Ckpt.Local.load_record store with
-    | Error msg ->
-      Fmt.epr "wfa resume: %s@." msg;
-      2
-    | Ok (gen, r) -> (
+    | Error msg -> fail ~cmd:"resume" msg
+    | Ok ((gen, r) as loaded) ->
       let cfg = r.Ckpt.Record.ck_config in
-      let total = r.Ckpt.Record.ck_total in
-      let done_n = List.length r.Ckpt.Record.ck_done in
       Fmt.pr "resume: generation %d, %d/%d subtree jobs already done@." gen
-        done_n total;
-      let finish =
-        finish_check ~scenario:cfg.Ckpt.Record.cf_scenario
-          ~depth:cfg.Ckpt.Record.cf_depth ~n_s:cfg.Ckpt.Record.cf_n_s
-          ~reduce:cfg.Ckpt.Record.cf_reduce ~json
-      in
-      match workers with
-      | [] -> (
-        match
-          Ckpt.Local.resume ~interval_s:checkpoint_interval_s ~store ()
-        with
-        | Error msg ->
-          Fmt.epr "wfa resume: %s@." msg;
-          2
-        | Ok (_, verdict, stats) ->
-          finish ~engine:"checkpointed"
-            ~dist_fields:[ ckpt_field ~dir ~resumed:true ]
-            verdict stats)
-      | workers -> (
-        match
-          Mcheck.Scenario.find cfg.Ckpt.Record.cf_scenario
-            ~n_s:cfg.Ckpt.Record.cf_n_s
-        with
-        | Error msg ->
-          Fmt.epr "wfa resume: %s@." msg;
-          2
-        | Ok sc -> (
-          Ckpt.Store.note_resume store ~gen ~total ~done_:done_n;
-          match
-            Dist.Coordinator.run ~split_depth:cfg.Ckpt.Record.cf_split_depth
-              ~reduce:cfg.Ckpt.Record.cf_reduce
-              ~checkpoint:(store, checkpoint_interval_s) ~resume:r
-              ~scenario:sc ~depth:cfg.Ckpt.Record.cf_depth ~workers ()
-          with
-          | Error msg ->
-            Fmt.epr "wfa resume: %s@." msg;
-            2
-          | Ok rep ->
-            let dist_fields = dist_report ~workers rep in
-            finish ~engine:"distributed"
-              ~dist_fields:(dist_fields @ [ ckpt_field ~dir ~resumed:true ])
-              rep.Dist.Coordinator.r_verdict rep.Dist.Coordinator.r_stats))))
+        (List.length r.Ckpt.Record.ck_done)
+        r.Ckpt.Record.ck_total;
+      partitioned ~cmd:"resume" ~workers
+        ~finish:
+          (finish_check ~scenario:cfg.Ckpt.Record.cf_scenario
+             ~depth:cfg.Ckpt.Record.cf_depth ~n_s:cfg.Ckpt.Record.cf_n_s
+             ~reduce:cfg.Ckpt.Record.cf_reduce ~json)
+        ~store ~resumed:true
+        {
+          start =
+            (fun exec ->
+              Ckpt.Frontier.resume ~store ~interval_s:checkpoint_interval_s
+                loaded exec);
+        })
 
 (* A fast, machine-readable slice of the bench suite (the full tables live
    in bench/main.exe --record): an E1-style batch, an E5-style batch and a
@@ -691,9 +647,7 @@ let serve socket listen workers shards queue deadline_ms max_frame events =
   (* --listen supersedes --socket; --socket PATH keeps meaning what it
      always meant (a bare path parses as a Unix socket address) *)
   match Svc.Addr.of_string (Option.value listen ~default:socket) with
-  | Error msg ->
-    Fmt.epr "wfa serve: %s@." msg;
-    2
+  | Error msg -> fail ~cmd:"serve" msg
   | Ok addr ->
     let cfg =
       {
@@ -735,9 +689,7 @@ let call socket verb params deadline_ms pipeline retry codec =
       Fmt.epr "wfa call: cannot connect to %s: %s@." socket
         (Unix.error_message e);
       2
-    | exception Invalid_argument msg ->
-      Fmt.epr "wfa call: %s@." msg;
-      2
+    | exception Invalid_argument msg -> fail ~cmd:"call" msg
     | client when pipeline = 1 ->
       let r = Svc.Client.call ?deadline_ms ~params client verb in
       Svc.Client.close client;
@@ -802,14 +754,10 @@ let call socket verb params deadline_ms pipeline retry codec =
    baseline gate consumes. Exit 0 iff every scenario passed. *)
 let campaign file socket local window deadline_ms json list_only =
   match Scenario.Campaign.load file with
-  | Error msg ->
-    Fmt.epr "wfa campaign: %s@." msg;
-    2
+  | Error msg -> fail ~cmd:"campaign" msg
   | Ok c -> (
     match Scenario.Campaign.expand c with
-    | Error msg ->
-      Fmt.epr "wfa campaign: %s@." msg;
-      2
+    | Error msg -> fail ~cmd:"campaign" msg
     | Ok specs ->
       if list_only then begin
         List.iter
@@ -844,9 +792,7 @@ let campaign file socket local window deadline_ms json list_only =
               Ok s
         in
         match summary with
-        | Error msg ->
-          Fmt.epr "wfa campaign: %s@." msg;
-          2
+        | Error msg -> fail ~cmd:"campaign" msg
         | Ok s ->
           Fmt.pr "%a" Svc.Campaign.pp_summary s;
           Option.iter

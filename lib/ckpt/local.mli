@@ -1,28 +1,16 @@
-(** The single-process checkpointed exhaustive engine.
-
-    Instead of one monolithic {!Simkit.Exhaustive.run} DFS (whose progress
-    is unserializable mid-flight — effect continuations cannot be cloned),
-    the checkpointed engine runs the {e partitioned} form of the same
-    search: {!Simkit.Exhaustive.split} derives the frontier, each subtree
-    job runs to completion in order, and a {!Record} of answered jobs is
-    written to the {!Store} at start, every [interval_s], and at the end.
-    By the merge theorem ([merge_verdicts]/[merge_stats] — commutative,
-    associative, credited) the folded verdict, schedule count and
-    lex-least counterexample equal the monolithic engine's, so a run
-    killed at any instant and {!resume}d finishes with output identical to
-    an uninterrupted one.
-
-    On {!Simkit.Exhaustive.Cancelled} (a service-layer deadline), progress
-    is saved before the exception propagates: a timed-out checkpointed
-    request leaves a store a later request can resume. *)
+(** The in-process executor of {!Frontier}, and the checkpointed engine
+    built on it: {!run} and {!resume} journal into a {!Store}, so a run
+    killed at any instant and resumed ends with the uninterrupted run's
+    output. A deadline ({!Simkit.Exhaustive.Cancelled}) propagates after
+    the answered jobs are saved, so a timed-out request leaves a store a
+    later one can resume. *)
 
 val default_interval_s : float
 (** 30 seconds. *)
 
-val default_split_depth : depth:int -> int
-(** The distributed coordinator's default, [max 1 (min 3 (depth - 1))] —
-    deep enough for useful journal granularity, shallow enough that the
-    split prefix is negligible. *)
+val executor : ?cancel:(unit -> bool) -> unit -> unit Frontier.executor
+(** Runs the jobs one by one in DFS order with
+    {!Simkit.Exhaustive.run_subtree}, polling [cancel]. *)
 
 val run :
   ?interval_s:float ->
@@ -34,9 +22,9 @@ val run :
   depth:int ->
   unit ->
   (Simkit.Exhaustive.verdict * Simkit.Exhaustive.stats, string) result
-(** Start a fresh checkpointed check ([depth] ≥ 2; [split_depth] defaults
-    to the distributed coordinator's [max 1 (min 3 (depth - 1))]).
-    [Error] covers configuration mistakes and store I/O failure. *)
+(** Start a fresh checkpointed check ([depth] >= 2; [split_depth] defaults
+    to {!Frontier.default_split_depth}). [Error] covers configuration
+    mistakes and a store that cannot take the first generation. *)
 
 val resume :
   ?interval_s:float ->
@@ -46,13 +34,9 @@ val resume :
   ( Record.config * Simkit.Exhaustive.verdict * Simkit.Exhaustive.stats,
     string )
   result
-(** Reload the newest intact record from [store], rebuild the scenario
-    from its config, re-split (deterministic, so the frontier is
-    identical), skip every recorded job and run the rest. [Error] when the
-    store holds no valid record, names an unknown scenario, or its job
-    total does not match the re-derived frontier (a record from a
-    different engine version). *)
+(** {!Frontier.resume} of the newest intact record in [store]. [Error]
+    when there is none, or as {!Frontier.resume}. *)
 
 val load_record : Store.t -> (int * Record.t, string) result
 (** The newest intact generation parsed as a {!Record} — shared by
-    {!resume}, the coordinator's resume path and [wfa resume]. *)
+    {!resume} and [wfa resume]. *)

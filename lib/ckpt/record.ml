@@ -48,18 +48,13 @@ let config_json c =
       ("split_depth", J.Int c.cf_split_depth);
     ]
 
-(* the same shape the [subtree] verb replies with, so a journal entry and a
-   wire result read identically *)
 let done_json d =
   J.Obj
-    ([ ("id", J.Int d.dj_id) ]
+    ((("id", J.Int d.dj_id) :: Exhaustive.verdict_fields d.dj_verdict)
     @ (match d.dj_verdict with
-      | Exhaustive.Ok n -> [ ("verdict", J.Str "ok"); ("schedules", J.Int n) ]
+      | Exhaustive.Ok _ -> []
       | Exhaustive.Counterexample cex ->
-        [
-          ("verdict", J.Str "counterexample");
-          ("cex", Exhaustive.schedule_json cex);
-        ])
+        [ ("cex", Exhaustive.schedule_json cex) ])
     @ [ ("stats", Exhaustive.stats_json d.dj_stats) ])
 
 let json r =
@@ -75,62 +70,26 @@ let json r =
 
 let ( let* ) = Result.bind
 
-let int_field name j =
-  match J.member name j with
-  | Some v -> (
-    match J.to_int_opt v with
-    | Some n -> Ok n
-    | None -> Error (Printf.sprintf "field %S is not an integer" name))
-  | None -> Error (Printf.sprintf "missing field %S" name)
-
-let str_field name j =
-  match J.member name j with
-  | Some (J.Str s) -> Ok s
-  | Some _ -> Error (Printf.sprintf "field %S is not a string" name)
-  | None -> Error (Printf.sprintf "missing field %S" name)
-
-let bool_field name j =
-  match J.member name j with
-  | Some (J.Bool b) -> Ok b
-  | Some _ -> Error (Printf.sprintf "field %S is not a boolean" name)
-  | None -> Error (Printf.sprintf "missing field %S" name)
-
 let config_of_json j =
-  let* scenario = str_field "scenario" j in
-  let* n_s = int_field "n_s" j in
-  let* depth = int_field "depth" j in
-  let* reduce = bool_field "reduce" j in
-  let* split_depth = int_field "split_depth" j in
-  Ok
-    {
-      cf_scenario = scenario;
-      cf_n_s = n_s;
-      cf_depth = depth;
-      cf_reduce = reduce;
-      cf_split_depth = split_depth;
-    }
+  let* cf_scenario = J.string_field "scenario" j in
+  let* cf_n_s = J.int_field "n_s" j in
+  let* cf_depth = J.int_field "depth" j in
+  let* cf_reduce = J.bool_field "reduce" j in
+  let* cf_split_depth = J.int_field "split_depth" j in
+  Ok { cf_scenario; cf_n_s; cf_depth; cf_reduce; cf_split_depth }
 
 let done_of_json j =
-  let* id = int_field "id" j in
+  let* id = J.int_field "id" j in
   let* verdict =
     match J.member "verdict" j with
     | Some (J.Str "ok") ->
-      let* n = int_field "schedules" j in
-      Ok (Exhaustive.Ok n)
-    | Some (J.Str "counterexample") -> (
-      match J.member "cex" j with
-      | Some c -> (
-        match Exhaustive.schedule_of_json c with
-        | Ok cex -> Ok (Exhaustive.Counterexample cex)
-        | Error _ as e -> e)
-      | None -> Error "missing field \"cex\"")
+      Result.map (fun n -> Exhaustive.Ok n) (J.int_field "schedules" j)
+    | Some (J.Str "counterexample") ->
+      Result.bind (J.field "cex" j) Exhaustive.schedule_of_json
+      |> Result.map (fun cex -> Exhaustive.Counterexample cex)
     | _ -> Error "missing or unknown field \"verdict\""
   in
-  let* stats =
-    match J.member "stats" j with
-    | Some s -> Exhaustive.stats_of_json s
-    | None -> Error "missing field \"stats\""
-  in
+  let* stats = Result.bind (J.field "stats" j) Exhaustive.stats_of_json in
   Ok { dj_id = id; dj_verdict = verdict; dj_stats = stats }
 
 let of_json j =
@@ -142,13 +101,8 @@ let of_json j =
       | Some _ -> Error "unsupported checkpoint record version"
       | None -> Error "missing field \"v\""
     in
-    let* config =
-      match J.member "config" j with
-      | Some (J.Obj _ as c) -> config_of_json c
-      | Some _ -> Error "field \"config\" is not an object"
-      | None -> Error "missing field \"config\""
-    in
-    let* total = int_field "total" j in
+    let* config = Result.bind (J.field "config" j) config_of_json in
+    let* total = J.int_field "total" j in
     let* done_ =
       match J.member "done" j with
       | Some (J.List items) ->

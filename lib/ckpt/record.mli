@@ -1,18 +1,11 @@
-(** The checkpoint record: what a deep exhaustive run durably is.
-
-    PR 4 made schedule counts credited and mergeable and PR 6 turned the
-    search into independent {!Simkit.Exhaustive.subtree} jobs with a
-    commutative, associative merge — so the complete progress of a run is
-    nothing more than its configuration (enough to re-derive the identical
-    frontier deterministically) plus the set of jobs already answered,
-    each with its verdict and stats. Resuming re-splits, skips the
-    recorded ids, and folds recorded and fresh results together: the final
-    verdict, credited count and lex-least counterexample are those of an
-    uninterrupted run {e by construction}, not by luck.
-
-    The record serializes to one {!Obs.Json.t} value (stats via
-    {!Simkit.Exhaustive.stats_json}, schedules via [schedule_json] — the
-    PR 7 wire codecs), which {!Store} persists in either payload codec. *)
+(** The checkpoint record: what a deep exhaustive run durably is. Schedule
+    counts are credited and the merge of subtree results is commutative
+    and associative, so a run's whole progress is its configuration
+    (enough to re-derive the identical frontier) plus the jobs already
+    answered, each with its verdict and stats. Resuming folds recorded and
+    fresh results into the uninterrupted run's verdict, credited count and
+    lex-least counterexample {e by construction}. A record is one
+    {!Obs.Json.t} value, which {!Store} persists in either payload codec. *)
 
 type config = {
   cf_scenario : string;  (** {!Mcheck.Scenario} name *)
@@ -35,14 +28,21 @@ type t = {
 }
 
 val make : config:config -> total:int -> done_:done_job list -> t
-(** Sorts and de-duplicates [done_] by id (first wins — the coordinator's
-    first-result-wins rule). Raises [Invalid_argument] on an id outside
-    [0, total). *)
+(** Sorts and de-duplicates [done_] by id (first wins). Raises
+    [Invalid_argument] on an id outside [0, total). *)
 
 val json : t -> Obs.Json.t
 val of_json : Obs.Json.t -> (t, string) result
 (** [of_json ∘ json = Ok] (the qcheck battery pins this through the store
     in both codecs). [of_json] validates shape and the id invariants. *)
+
+val done_json : done_job -> Obs.Json.t
+val done_of_json : Obs.Json.t -> (done_job, string) result
+(** The one codec for a job result: a record's [done] entry and the
+    [subtree] verb's reply are the same object — [id], [verdict],
+    [schedules] (an integer, [null] on a counterexample), [cex] (only on a
+    counterexample) and [stats]. [done_of_json] needs [schedules] only on
+    [ok], so entries written without it on counterexamples still load. *)
 
 val equal : t -> t -> bool
 (** Structural, [wall_s] included — for round-trip tests. *)

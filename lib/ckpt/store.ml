@@ -193,7 +193,10 @@ let save t value =
   let gen = t.next_gen in
   let contents = encode_generation t.codec value in
   match write_atomic ~dir:t.dir ~name:(gen_name gen) contents with
-  | Error _ as e -> e
+  | Error msg as e ->
+      emit t Obs.Event.Name.ckpt_save_error
+        [ ("gen", J.Int gen); ("error", J.Str msg) ];
+      e
   | Ok () ->
       write_manifest t gen;
       t.next_gen <- gen + 1;

@@ -48,8 +48,9 @@ val dir : t -> string
 val save : t -> Obs.Json.t -> (int, string) result
 (** Durably write a new generation holding the value; returns its number
     (one more than the newest generation present at {!create} time or
-    written since). [Error] reports I/O failure (disk full, permissions);
-    the store's existing generations are untouched in that case. *)
+    written since). [Error] reports I/O failure (disk full, permissions)
+    and emits [ckpt.save.error]; the store's existing generations are
+    untouched in that case. *)
 
 val load : t -> (int * Obs.Json.t) option
 (** The newest intact generation and its number. [None] when the store
@@ -64,5 +65,5 @@ val generation_path : t -> int -> string
 
 val note_resume : t -> gen:int -> total:int -> done_:int -> unit
 (** Emit the [ckpt.resume] event (and bump the [ckpt.resumes] counter)
-    through this store's sink — called by the engines when they continue
-    from a loaded record. *)
+    through this store's sink — called by {!Frontier.resume} when a run
+    continues from a loaded record. *)

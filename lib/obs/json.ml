@@ -326,3 +326,17 @@ let to_float_opt = function
   | _ -> None
 
 let to_string_opt = function Str s -> Some s | _ -> None
+
+let field k j =
+  match member k j with
+  | Some v -> Ok v
+  | None -> Error (Printf.sprintf "missing field %S" k)
+
+let typed what conv k j =
+  Result.bind (field k j) (fun v ->
+      Option.to_result (conv v)
+        ~none:(Printf.sprintf "field %S is not %s" k what))
+
+let int_field = typed "an integer" to_int_opt
+let string_field = typed "a string" to_string_opt
+let bool_field = typed "a boolean" (function Bool b -> Some b | _ -> None)

@@ -63,3 +63,13 @@ val to_float_opt : t -> float option
 (** [Int]s widen to float. *)
 
 val to_string_opt : t -> string option
+
+val field : string -> t -> (t, string) result
+(** {!member} for a required field: [Error "missing field \"k\""] when
+    absent. *)
+
+val int_field : string -> t -> (int, string) result
+val string_field : string -> t -> (string, string) result
+val bool_field : string -> t -> (bool, string) result
+(** A required field of one type; the [Error] names the field when it is
+    missing or holds another type ("field \"k\" is not an integer"). *)

@@ -50,15 +50,7 @@ let merge_stats a b =
 
 let stats_of_json j =
   let ( let* ) = Stdlib.Result.bind in
-  let int_field name =
-    match Obs.Json.member name j with
-    | Some v -> (
-      match Obs.Json.to_int_opt v with
-      | Some n -> Stdlib.Ok n
-      | None ->
-        Stdlib.Error (Printf.sprintf "stats field %S is not an integer" name))
-    | None -> Stdlib.Error (Printf.sprintf "missing stats field %S" name)
-  in
+  let int_field name = Obs.Json.int_field name j in
   let* nodes = int_field "nodes" in
   let* steps_executed = int_field "steps_executed" in
   let* replays = int_field "replays" in
@@ -67,12 +59,9 @@ let stats_of_json j =
   let* sleep_pruned = int_field "sleep_pruned" in
   let* orbits_collapsed = int_field "orbits_collapsed" in
   let* wall_s =
-    match Obs.Json.member "wall_s" j with
-    | Some v -> (
-      match Obs.Json.to_float_opt v with
-      | Some f -> Stdlib.Ok f
-      | None -> Stdlib.Error "stats field \"wall_s\" is not a number")
-    | None -> Stdlib.Error "missing stats field \"wall_s\""
+    Stdlib.Result.bind (Obs.Json.field "wall_s" j) (fun v ->
+        Option.to_result (Obs.Json.to_float_opt v)
+          ~none:"field \"wall_s\" is not a number")
   in
   Stdlib.Ok
     { nodes; steps_executed; replays; runtimes_built; memo_hits; sleep_pruned;
@@ -524,6 +513,17 @@ let split ?(mode = Every) ?reduce ~build ~pids ~depth ~split_depth ~prop () =
     fr_stats = stats_of ~wall_s:(Obs.Span.elapsed_s sp) acc;
   }
 
+let merge_frontier ~pids fr results =
+  let verdict, stats =
+    List.fold_left
+      (fun (v, st) (v', st') -> (merge_verdicts ~pids v v', merge_stats st st'))
+      (Ok fr.fr_pruned, fr.fr_stats)
+      results
+  in
+  match fr.fr_cex with
+  | None -> (verdict, stats)
+  | Some cex -> (merge_verdicts ~pids verdict (Counterexample cex), stats)
+
 let run_subtree ?(memo = true) ?(mode = Every) ?reduce
     ?(cancel = never_cancel) ~build ~pids ~depth ~prop sj =
   let fail msg = invalid_arg ("Exhaustive.run_subtree: " ^ msg) in
@@ -567,6 +567,11 @@ let run_subtree ?(memo = true) ?(mode = Every) ?reduce
 let schedule_json ps =
   Obs.Json.List (List.map (fun p -> Obs.Json.Str (Pid.to_string p)) ps)
 
+let verdict_fields = function
+  | Ok n -> [ ("verdict", Obs.Json.Str "ok"); ("schedules", Obs.Json.Int n) ]
+  | Counterexample _ ->
+    [ ("verdict", Obs.Json.Str "counterexample"); ("schedules", Obs.Json.Null) ]
+
 let schedule_of_json j =
   match j with
   | Obs.Json.List xs ->
@@ -593,23 +598,12 @@ let subtree_json sj =
 
 let subtree_of_json j =
   let ( let* ) = Stdlib.Result.bind in
-  let int_field name =
-    match Obs.Json.member name j with
-    | Some v -> (
-      match Obs.Json.to_int_opt v with
-      | Some n -> Stdlib.Ok n
-      | None ->
-        Stdlib.Error (Printf.sprintf "subtree field %S is not an integer" name))
-    | None -> Stdlib.Error (Printf.sprintf "missing subtree field %S" name)
-  in
+  let int_field name = Obs.Json.int_field name j in
   let pid_list_field name =
-    match Obs.Json.member name j with
-    | Some v -> (
-      match schedule_of_json v with
-      | Stdlib.Ok ps -> Stdlib.Ok ps
-      | Stdlib.Error msg ->
-        Stdlib.Error (Printf.sprintf "subtree field %S: %s" name msg))
-    | None -> Stdlib.Error (Printf.sprintf "missing subtree field %S" name)
+    Stdlib.Result.bind (Obs.Json.field name j) (fun v ->
+        Stdlib.Result.map_error
+          (Printf.sprintf "subtree field %S: %s" name)
+          (schedule_of_json v))
   in
   let* sj_id = int_field "id" in
   let* sj_prefix = pid_list_field "prefix" in

@@ -19,7 +19,7 @@
     frontier depth, emitting jobs there instead of recursing: {!run} is the
     DFS from the root, {!split} the DFS with the cut, {!run_subtree} the DFS
     from a job. Parallelism lives above the engine — run {!split}'s jobs
-    anywhere and fold their results with {!merge_verdicts}/{!merge_stats}.
+    anywhere and fold their results with {!merge_frontier}.
 
     Cost before pruning is |pids|^depth schedules: keep |pids| ≤ 4 and
     depth ≤ 12 or so. Every entry point raises [Invalid_argument] before
@@ -210,6 +210,13 @@ val split :
     re-checking it. [~mode], [~reduce] and the scenario must match between
     [split] and the [run_subtree] calls that consume its jobs. *)
 
+val merge_frontier :
+  pids:Pid.t list -> split_result -> (verdict * stats) list -> verdict * stats
+(** The fold every executor of {!split}'s jobs ends with: the splitter's
+    [fr_pruned] credit and [fr_stats], then one {!run_subtree} result per
+    job in [sj_id] order, then the splitter's own [fr_cex]. Equals {!run}'s
+    verdict and credited count for the same configuration. *)
+
 val run_subtree :
   ?memo:bool ->
   ?mode:mode ->
@@ -233,6 +240,10 @@ val schedule_json : Pid.t list -> Obs.Json.t
 val schedule_of_json : Obs.Json.t -> (Pid.t list, string) result
 (** A schedule (or counterexample) on the wire: a list of
     {!Pid.to_string} names ([p1], [q2], ...). *)
+
+val verdict_fields : verdict -> (string * Obs.Json.t) list
+(** [verdict] (["ok"] or ["counterexample"]) and [schedules] (the count, or
+    [null]): how every JSON object that carries a verdict spells it. *)
 
 val subtree_json : subtree -> Obs.Json.t
 val subtree_of_json : Obs.Json.t -> (subtree, string) result

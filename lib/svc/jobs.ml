@@ -148,17 +148,9 @@ let modelcheck_result ~scenario ~depth ~n_s ~reduce ?checkpoint (verdict, stats)
        ("depth", J.Int depth);
        ("n_s", J.Int n_s);
        ("reduce", J.Bool reduce);
-       ( "verdict",
-         J.Str
-           (match verdict with
-           | Exhaustive.Ok _ -> "ok"
-           | Exhaustive.Counterexample _ -> "counterexample") );
-       ( "schedules",
-         match verdict with
-         | Exhaustive.Ok n -> J.Int n
-         | Exhaustive.Counterexample _ -> J.Null );
-       ("stats", Exhaustive.stats_json stats);
      ]
+    @ Exhaustive.verdict_fields verdict
+    @ [ ("stats", Exhaustive.stats_json stats) ]
     @
     match checkpoint with
     | None -> []
@@ -249,24 +241,13 @@ let subtree ~cancel params =
   with
   | exception Invalid_argument msg -> bad "%s" msg
   | verdict, stats ->
-    J.Obj
-      ([
-         ("id", J.Int sj.Exhaustive.sj_id);
-         ( "verdict",
-           J.Str
-             (match verdict with
-             | Exhaustive.Ok _ -> "ok"
-             | Exhaustive.Counterexample _ -> "counterexample") );
-         ( "schedules",
-           match verdict with
-           | Exhaustive.Ok n -> J.Int n
-           | Exhaustive.Counterexample _ -> J.Null );
-       ]
-      @ (match verdict with
-        | Exhaustive.Ok _ -> []
-        | Exhaustive.Counterexample cex ->
-          [ ("cex", Exhaustive.schedule_json cex) ])
-      @ [ ("stats", Exhaustive.stats_json stats) ])
+    (* the reply is a checkpoint record's done entry, byte for byte *)
+    Ckpt.Record.done_json
+      {
+        Ckpt.Record.dj_id = sj.Exhaustive.sj_id;
+        dj_verdict = verdict;
+        dj_stats = stats;
+      }
 
 let fuzz ~cancel params =
   let kind = str_param ~default:"strong-renaming" "kind" params in

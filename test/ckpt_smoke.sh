@@ -7,7 +7,9 @@
 # Interval 0 journals a generation after every subtree job, so the kill
 # always lands on a store with recorded progress; the field diff proves the
 # verdict, credited count and pruning counters are byte-identical to a run
-# that was never interrupted.
+# that was never interrupted. Last, a store that cannot take its first
+# generation must fail the run (exit 2) on both paths, never report a
+# verdict with nothing on disk.
 set -eu
 
 WFA=${WFA:-_build/default/bin/wfa.exe}
@@ -109,6 +111,26 @@ echo "ckpt_smoke: workers at $A1 and $A2"
 
 echo "ckpt_smoke: coordinator SIGKILL mid-run, resume on the same fleet"
 kill_and_resume "$D/dist-store" dist --workers "$A1,$A2"
+
+# $1 = tag, $2... = extra modelcheck flags; a directory squatting on the
+# first generation's temp name makes the first save fail
+unwritable_store() {
+  STORE="$D/blocked-$1"
+  shift
+  mkdir -p "$STORE/tmp-gen-000000.ckpt"
+  rc=0
+  "$WFA" modelcheck --depth 6 --n-s 2 --checkpoint "$STORE" "$@" \
+    > "$D/blocked.out" 2>&1 || rc=$?
+  if [ "$rc" -ne 2 ]; then
+    echo "ckpt_smoke: unwritable store exited $rc, want 2 ($*)" >&2
+    cat "$D/blocked.out" >&2
+    exit 1
+  fi
+}
+
+echo "ckpt_smoke: unwritable store fails the run, local and on the fleet"
+unwritable_store local
+unwritable_store dist --workers "$A1,$A2"
 
 trap - EXIT
 kill "$W1" "$W2" 2>/dev/null || true

@@ -254,6 +254,62 @@ let test_record_validation () =
       | j -> j);
   reject "not an object" (fun _ -> J.Str "nope")
 
+(* One codec for a job result: the [subtree] verb's reply and a record's
+   done entry. The encoded text is pinned (the wire bytes of a reply must
+   not drift), and a counterexample entry written without "schedules", as
+   earlier builds journaled it, still decodes. *)
+let test_job_result_codec () =
+  let zero =
+    {|{"nodes":0,"steps_executed":0,"replays":0,"runtimes_built":0,"memo_hits":0,"sleep_pruned":0,"orbits_collapsed":0,"wall_s":0.0}|}
+  in
+  let ok =
+    {
+      Ckpt.Record.dj_id = 3;
+      dj_verdict = Exhaustive.Ok 9;
+      dj_stats = Exhaustive.zero_stats;
+    }
+  and cex =
+    {
+      Ckpt.Record.dj_id = 1;
+      dj_verdict = Exhaustive.Counterexample [ Pid.c 0; Pid.s 0 ];
+      dj_stats = Exhaustive.zero_stats;
+    }
+  in
+  let decodes what text d =
+    match Result.bind (J.of_string text) Ckpt.Record.done_of_json with
+    | Ok d' -> check_bool (what ^ " decodes") true (d = d')
+    | Error msg -> Alcotest.failf "%s: %s" what msg
+  in
+  List.iter
+    (fun (what, d, text) ->
+      Alcotest.(check string) what text (J.to_string (Ckpt.Record.done_json d));
+      decodes what text d)
+    [
+      ( "ok",
+        ok,
+        {|{"id":3,"verdict":"ok","schedules":9,"stats":|} ^ zero ^ "}" );
+      ( "counterexample",
+        cex,
+        {|{"id":1,"verdict":"counterexample","schedules":null,"cex":["p1","q1"],"stats":|}
+        ^ zero ^ "}" );
+    ];
+  decodes "counterexample without schedules"
+    ({|{"id":1,"verdict":"counterexample","cex":["p1","q1"],"stats":|} ^ zero
+   ^ "}")
+    cex;
+  (* malformed entries name the field at fault *)
+  List.iter
+    (fun (text, want) ->
+      match Result.bind (J.of_string text) Ckpt.Record.done_of_json with
+      | Ok _ -> Alcotest.failf "accepted %s" text
+      | Error msg -> Alcotest.(check string) text want msg)
+    [
+      ({|{"id":"3"}|}, {|field "id" is not an integer|});
+      ({|{"id":3,"verdict":"ok"}|}, {|missing field "schedules"|});
+      ({|{"id":3,"verdict":"ok","schedules":9}|}, {|missing field "stats"|});
+      ({|{"id":3,"verdict":"maybe"}|}, {|missing or unknown field "verdict"|});
+    ]
+
 (* ---------------------------------------------- the checkpointed engine *)
 
 let scenario name ~n_s =
@@ -382,7 +438,10 @@ let test_local_resume_rejects () =
     {
       half with
       Ckpt.Record.ck_config =
-        { config with Ckpt.Record.cf_split_depth = config.Ckpt.Record.cf_depth };
+        {
+          config with
+          Ckpt.Record.cf_split_depth = config.Ckpt.Record.cf_depth;
+        };
     }
 
 (* A deadline that fires mid-run persists the answered jobs before the
@@ -410,6 +469,64 @@ let test_local_cancel_resumes () =
         Alcotest.(check string) "verdict" (verdict_str verdict)
           (verdict_str verdict');
         Alcotest.(check string) "stats" (stats_str stats) (stats_str stats'))
+
+(* The journal rule every executor follows. A store that cannot take the
+   first generation fails the run before any job runs. A store that
+   refuses a later one costs nothing but that generation: the answer
+   stands, the store reports [ckpt.save.error], and the older generation
+   still resumes. A directory squatting on the temp name of generation
+   [gen] makes exactly that save fail. [run store case] checks [case] into
+   [store], journaling after every job. *)
+let journal_rule ~label run =
+  let case = ("safe-agreement", 2, 6, false) in
+  let want =
+    with_store (fun store -> verdict_str (fst (local_run store case)))
+  in
+  let blocked gen f =
+    with_store (fun store ->
+        let blocker =
+          Filename.concat (Ckpt.Store.dir store)
+            (Printf.sprintf "tmp-gen-%06d.ckpt" gen)
+        in
+        Unix.mkdir blocker 0o755;
+        let sink, events = Obs.Sink.buffer () in
+        match Ckpt.Store.create ~sink (Ckpt.Store.dir store) with
+        | Error e -> Alcotest.failf "reopen: %s" e
+        | Ok store -> f store blocker events)
+  in
+  blocked 0 (fun store _ _ ->
+      match run store case with
+      | Error _ -> ()
+      | Ok _ -> Alcotest.failf "%s: ran without a first generation" label);
+  blocked 1 (fun store blocker events ->
+      (match run store case with
+      | Error e ->
+        Alcotest.failf "%s: a failed save stopped the run: %s" label e
+      | Ok verdict ->
+        Alcotest.(check string) (label ^ ": the answer stands") want
+          (verdict_str verdict));
+      check_bool (label ^ ": ckpt.save.error reported") true
+        (List.exists
+           (fun ev -> ev.Obs.Event.name = Obs.Event.Name.ckpt_save_error)
+           (events ()));
+      (match Ckpt.Local.load_record store with
+      | Ok (0, r) ->
+        check_int (label ^ ": generation 0 is the initial one") 0
+          (List.length r.Ckpt.Record.ck_done)
+      | Ok (g, _) -> Alcotest.failf "%s: loaded generation %d" label g
+      | Error e -> Alcotest.failf "%s: %s" label e);
+      Unix.rmdir blocker;
+      match Ckpt.Local.resume ~store () with
+      | Error e -> Alcotest.failf "%s: resume: %s" label e
+      | Ok (_, verdict, _) ->
+        Alcotest.(check string)
+          (label ^ ": resumed") want (verdict_str verdict))
+
+let test_local_journal_rule () =
+  journal_rule ~label:"local" (fun store (name, n_s, depth, reduce) ->
+      Ckpt.Local.run ~interval_s:0. ~reduce ~store
+        ~scenario:(scenario name ~n_s) ~depth ()
+      |> Result.map fst)
 
 (* Stores written by an earlier build: one newest generation each, cut
    part-way through a run (binary codec, and JSON with a recorded
@@ -458,7 +575,8 @@ let test_golden_store_resumes () =
               in
               let want =
                 String.trim
-                  (read_file (Filename.concat "golden/ckpt" (name ^ ".expected.json")))
+                  (read_file
+                     (Filename.concat "golden/ckpt" (name ^ ".expected.json")))
               in
               Alcotest.(check string) name want (J.to_string got))))
     golden_stores
@@ -476,6 +594,7 @@ let suite =
     Alcotest.test_case "empty store and stray files" `Quick
       test_empty_and_garbage;
     Alcotest.test_case "record validation" `Quick test_record_validation;
+    Alcotest.test_case "one job-result codec" `Quick test_job_result_codec;
     Alcotest.test_case "checkpointed run matches the monolithic run" `Quick
       test_local_matches_run;
     Alcotest.test_case "half-answered store resumes to the full result"
@@ -486,4 +605,6 @@ let suite =
       test_local_cancel_resumes;
     Alcotest.test_case "earlier build's golden stores resume" `Quick
       test_golden_store_resumes;
+    Alcotest.test_case "journal rule: first save fatal, later saves not"
+      `Quick test_local_journal_rule;
   ]

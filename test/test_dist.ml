@@ -150,6 +150,48 @@ let test_prefix_violation_stops_split () =
     check_string "same counterexample" (verdict_str expected)
       (verdict_str (Exhaustive.Counterexample cex))
 
+(* --- the shared fold against the reference fold above --- *)
+
+let test_merge_frontier_matches_reference () =
+  let race = Test_exhaustive.race_build ~n_c:2 ~n_s:1 in
+  List.iter
+    (fun (label, build, pids, depth, prop, reduce) ->
+      List.iter
+        (fun split_depth ->
+          let label = Fmt.str "%s sd=%d" label split_depth in
+          let want_v, want_s, _ =
+            dist_run ?reduce ~build ~pids ~depth ~split_depth ~prop ()
+          in
+          let fr =
+            Exhaustive.split ?reduce ~build ~pids ~depth ~split_depth ~prop ()
+          in
+          let v, s =
+            List.map
+              (Exhaustive.run_subtree ?reduce ~build ~pids ~depth ~prop)
+              fr.Exhaustive.fr_jobs
+            |> Exhaustive.merge_frontier ~pids fr
+          in
+          check_string label (verdict_str want_v) (verdict_str v);
+          check_string label (Test_ckpt.stats_str want_s)
+            (Test_ckpt.stats_str s))
+        [ 1; 2; 3 ])
+    [
+      ( "reduced",
+        sa_build ~n_s:2,
+        Pid.all ~n_c:2 ~n_s:2,
+        5,
+        sa_prop,
+        Some (sa_reduce ~n_s:2) );
+      ( "counterexample",
+        race,
+        Pid.all ~n_c:2 ~n_s:1,
+        6,
+        Test_exhaustive.race_prop_false,
+        None );
+      ("prefix violation", sa_build ~n_s:1, Pid.all ~n_c:2 ~n_s:1, 4,
+       (fun _ -> false), None);
+    ]
+
 (* --- golden frontiers: a checkpoint store records its job total and the
        ids it finished, so resuming a store written by an older build needs
        the same split, job for job. Each line of a golden file is
@@ -441,16 +483,19 @@ let test_coordinator_survives_dead_worker () =
 
 (* --- the journaling coordinator: resume a half-answered store --- *)
 
+let fleet workers =
+  match Dist.Coordinator.executor workers with
+  | Ok exec -> exec
+  | Error e -> Alcotest.fail e
+
+(* the store's newest record, resumed through the driver by the fleet *)
 let fleet_resume ~workers ~store (r : Ckpt.Record.t) =
-  let config = r.Ckpt.Record.ck_config in
-  Dist.Coordinator.run ~split_depth:config.Ckpt.Record.cf_split_depth
-    ~reduce:config.Ckpt.Record.cf_reduce ~checkpoint:(store, 0.) ~resume:r
-    ~scenario:
-      (Test_ckpt.scenario config.Ckpt.Record.cf_scenario
-         ~n_s:config.Ckpt.Record.cf_n_s)
-    ~depth:config.Ckpt.Record.cf_depth ~workers ()
-  |> Result.map (fun r ->
-         (r.Dist.Coordinator.r_verdict, r.Dist.Coordinator.r_stats))
+  Test_ckpt.save_record store r;
+  match Ckpt.Local.load_record store with
+  | Error e -> Error e
+  | Ok loaded ->
+    Ckpt.Frontier.resume ~store ~interval_s:0. loaded (fleet workers)
+    |> Result.map (fun o -> (o.Ckpt.Frontier.verdict, o.Ckpt.Frontier.stats))
 
 let test_coordinator_resumes_half () =
   with_tcp_workers 2 (fun servers ->
@@ -460,7 +505,6 @@ let test_coordinator_resumes_half () =
           let label = Test_ckpt.case_label case in
           let verdict, stats, half = Test_ckpt.half_done case in
           Test_ckpt.with_store (fun store ->
-              Test_ckpt.save_record store half;
               match fleet_resume ~workers ~store half with
               | Error e -> Alcotest.failf "%s: %s" label e
               | Ok (verdict', stats') ->
@@ -490,15 +534,25 @@ let test_coordinator_resume_rejects () =
         (Ckpt.Record.make ~config ~total:(half.Ckpt.Record.ck_total + 1)
            ~done_:half.Ckpt.Record.ck_done);
       (* the run's own config differs from the record's *)
-      Test_ckpt.with_store (fun store ->
-          match
-            Dist.Coordinator.run ~checkpoint:(store, 0.) ~resume:half
-              ~scenario:(Test_ckpt.scenario config.Ckpt.Record.cf_scenario
-                           ~n_s:config.Ckpt.Record.cf_n_s)
-              ~depth:(config.Ckpt.Record.cf_depth + 1) ~workers ()
-          with
-          | Error _ -> ()
-          | Ok _ -> Alcotest.fail "wrong config: resumed"))
+      match
+        Ckpt.Frontier.run ~resume:half ~reduce:config.Ckpt.Record.cf_reduce
+          ~scenario:
+            (Test_ckpt.scenario config.Ckpt.Record.cf_scenario
+               ~n_s:config.Ckpt.Record.cf_n_s)
+          ~depth:(config.Ckpt.Record.cf_depth + 1)
+          (fleet workers)
+      with
+      | Error _ -> ()
+      | Ok _ -> Alcotest.fail "wrong config: resumed")
+
+let test_coordinator_journal_rule () =
+  with_tcp_workers 2 (fun servers ->
+      let workers = List.map snd servers in
+      Test_ckpt.journal_rule ~label:"fleet"
+        (fun store (name, n_s, depth, reduce) ->
+          Dist.Coordinator.run ~checkpoint:(store, 0.) ~reduce
+            ~scenario:(Test_ckpt.scenario name ~n_s) ~depth ~workers ()
+          |> Result.map (fun r -> r.Dist.Coordinator.r_verdict)))
 
 let suite =
   [
@@ -510,6 +564,8 @@ let suite =
       test_counterexample_partition_invariant;
     Alcotest.test_case "prefix violation stops the split" `Quick
       test_prefix_violation_stops_split;
+    Alcotest.test_case "merge_frontier equals the reference fold" `Quick
+      test_merge_frontier_matches_reference;
     Alcotest.test_case "golden frontier job lists" `Quick
       test_golden_frontiers;
     Alcotest.test_case "subtree json roundtrip" `Quick
@@ -522,6 +578,8 @@ let suite =
       test_coordinator_resumes_half;
     Alcotest.test_case "fleet resume rejects a mismatched record" `Quick
       test_coordinator_resume_rejects;
+    Alcotest.test_case "fleet journal rule: first save fatal, later not"
+      `Quick test_coordinator_journal_rule;
     QCheck_alcotest.to_alcotest prop_merge_stats_monoid;
     QCheck_alcotest.to_alcotest prop_merge_verdicts_monoid;
     QCheck_alcotest.to_alcotest prop_partition_counts;
