@@ -1781,7 +1781,13 @@ let ckpt_bench () =
     !best
   in
   let tmp_store () =
-    match Ckpt.Store.create (Filename.temp_dir "wfa-bench-ckpt-" "") with
+    let dir =
+      Filename.concat
+        (Filename.get_temp_dir_name ())
+        (Printf.sprintf "wfa-bench-ckpt-%d-%d" (Unix.getpid ())
+           (int_of_float (Unix.gettimeofday () *. 1e6) land 0xffffff))
+    in
+    match Ckpt.Store.create dir with
     | Stdlib.Ok s -> s
     | Stdlib.Error e -> failwith e
   in
@@ -1804,14 +1810,16 @@ let ckpt_bench () =
         credited verdict)
   in
   Fmt.pr "  %-28s %9.3fs@." "monolithic DFS (context)" monolithic;
-  (* the no-checkpoint baseline: the SAME split engine the distributed
-     coordinator runs, minus the journal — so the overhead row below
-     isolates what the checkpoint subsystem itself costs *)
+  (* the no-checkpoint baseline: the SAME frontier driver and in-process
+     executor the checkpointed row runs, minus the journal — so the
+     overhead row below isolates what the checkpoint subsystem costs *)
   let run_split_plain () =
-    let fr = Exhaustive.split ~build ~pids ~depth ~split_depth ~prop () in
-    List.map (Exhaustive.run_subtree ~build ~pids ~depth ~prop) fr.fr_jobs
-    |> Exhaustive.merge_frontier ~pids fr
-    |> fst |> credited
+    match
+      Ckpt.Frontier.run ~reduce:false ~scenario:sc ~depth
+        (Ckpt.Local.executor ())
+    with
+    | Stdlib.Ok o -> credited o.Ckpt.Frontier.verdict
+    | Stdlib.Error e -> failwith e
   in
   (* default interval: a sub-second depth-8 run journals the initial and
      final generations only — the steady-state cost of running under

@@ -163,7 +163,9 @@ let fail ~cmd msg =
    the file is the whole configuration. *)
 let run_scenario_file ~cmd path =
   match Scenario.Spec.load path with
-  | Error msg -> fail ~cmd msg
+  | Error msg ->
+    Fmt.epr "wfa %s: %s@." cmd msg;
+    2
   | Ok sp ->
     let verb = Scenario.Spec.verb sp in
     if verb <> cmd then begin
@@ -267,7 +269,9 @@ let fuzz scenario_file kind n j seed trials domains do_shrink explain json =
   | Some path -> run_scenario_file ~cmd:"fuzz" path
   | None ->
   match Scenario.Build.fuzz_target kind ~n ~j with
-  | Error msg -> fail ~cmd:"fuzz" msg
+  | Error msg ->
+    Fmt.epr "wfa fuzz: %s@." msg;
+    2
   | Ok target ->
   let res = Adversary.fuzz_target ~domains ~seed ~budget:trials target () in
   Fmt.pr "target   %s@.trials   %d/%d (%d domain%s, %.3fs, %.0f seeds/s)@."
@@ -430,23 +434,23 @@ type start = {
 (* The partitioned check behind modelcheck --checkpoint/--workers and
    resume: the in-process executor, or a fleet when workers are given. *)
 let partitioned ~cmd ~workers ~finish ?store ~resumed { start } =
-  let ckpt_fields =
+  (* a failed later save leaves the answer standing but the store behind
+     it: say so, and count the failures in --json *)
+  let ckpt_fields () =
     match store with
     | None -> []
     | Some store ->
-      [
-        ( "checkpoint",
-          Obs.Json.Obj
-            [
-              ("dir", Obs.Json.Str (Ckpt.Store.dir store));
-              ("resumed", Obs.Json.Bool resumed);
-            ] );
-      ]
+      let errors = Ckpt.Store.save_errors store in
+      if errors > 0 then
+        Fmt.epr "wfa %s: warning: %d checkpoint save(s) failed; %s lags \
+                 behind this answer@."
+          cmd errors (Ckpt.Store.dir store);
+      [ Ckpt.Local.checkpoint_field store ~resumed ]
   in
   let report ~engine dist_fields = function
     | Error msg -> fail ~cmd msg
     | Ok o ->
-      finish ~engine ~dist_fields:(dist_fields o @ ckpt_fields)
+      finish ~engine ~dist_fields:(dist_fields o @ ckpt_fields ())
         o.Ckpt.Frontier.verdict o.stats
   in
   match workers with
@@ -647,7 +651,9 @@ let serve socket listen workers shards queue deadline_ms max_frame events =
   (* --listen supersedes --socket; --socket PATH keeps meaning what it
      always meant (a bare path parses as a Unix socket address) *)
   match Svc.Addr.of_string (Option.value listen ~default:socket) with
-  | Error msg -> fail ~cmd:"serve" msg
+  | Error msg ->
+    Fmt.epr "wfa serve: %s@." msg;
+    2
   | Ok addr ->
     let cfg =
       {
@@ -689,7 +695,9 @@ let call socket verb params deadline_ms pipeline retry codec =
       Fmt.epr "wfa call: cannot connect to %s: %s@." socket
         (Unix.error_message e);
       2
-    | exception Invalid_argument msg -> fail ~cmd:"call" msg
+    | exception Invalid_argument msg ->
+      Fmt.epr "wfa call: %s@." msg;
+      2
     | client when pipeline = 1 ->
       let r = Svc.Client.call ?deadline_ms ~params client verb in
       Svc.Client.close client;
@@ -754,10 +762,14 @@ let call socket verb params deadline_ms pipeline retry codec =
    baseline gate consumes. Exit 0 iff every scenario passed. *)
 let campaign file socket local window deadline_ms json list_only =
   match Scenario.Campaign.load file with
-  | Error msg -> fail ~cmd:"campaign" msg
+  | Error msg ->
+    Fmt.epr "wfa campaign: %s@." msg;
+    2
   | Ok c -> (
     match Scenario.Campaign.expand c with
-    | Error msg -> fail ~cmd:"campaign" msg
+    | Error msg ->
+      Fmt.epr "wfa campaign: %s@." msg;
+      2
     | Ok specs ->
       if list_only then begin
         List.iter
@@ -792,7 +804,9 @@ let campaign file socket local window deadline_ms json list_only =
               Ok s
         in
         match summary with
-        | Error msg -> fail ~cmd:"campaign" msg
+        | Error msg ->
+          Fmt.epr "wfa campaign: %s@." msg;
+          2
         | Ok s ->
           Fmt.pr "%a" Svc.Campaign.pp_summary s;
           Option.iter

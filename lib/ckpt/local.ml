@@ -11,6 +11,17 @@ let load_record store =
     | Error msg ->
       Error (Printf.sprintf "generation %d: invalid record: %s" gen msg))
 
+let checkpoint_field store ~resumed =
+  let errors = Store.save_errors store in
+  ( "checkpoint",
+    Obs.Json.Obj
+      ([
+         ("dir", Obs.Json.Str (Store.dir store));
+         ("resumed", Obs.Json.Bool resumed);
+       ]
+      @ if errors > 0 then [ ("save_errors", Obs.Json.Int errors) ] else [])
+  )
+
 let executor ?cancel () sc config _fr ~todo ~report =
   let reduce = Mcheck.Scenario.reduction sc ~reduce:config.Record.cf_reduce in
   List.iter
@@ -24,10 +35,10 @@ let executor ?cancel () sc config _fr ~todo ~report =
     todo;
   Ok ()
 
-let run ?(interval_s = default_interval_s) ?split_depth ?(reduce = false)
-    ?cancel ~store ~scenario ~depth () =
-  Frontier.run ~journal:(store, interval_s) ?split_depth ~reduce ~scenario
-    ~depth (executor ?cancel ())
+let run ?(interval_s = default_interval_s) ?(reduce = false) ?cancel ~store
+    ~scenario ~depth () =
+  Frontier.run ~journal:(store, interval_s) ~reduce ~scenario ~depth
+    (executor ?cancel ())
   |> Result.map (fun o -> (o.Frontier.verdict, o.Frontier.stats))
 
 let resume ?(interval_s = default_interval_s) ?cancel ~store () =

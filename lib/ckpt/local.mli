@@ -14,7 +14,6 @@ val executor : ?cancel:(unit -> bool) -> unit -> unit Frontier.executor
 
 val run :
   ?interval_s:float ->
-  ?split_depth:int ->
   ?reduce:bool ->
   ?cancel:(unit -> bool) ->
   store:Store.t ->
@@ -22,8 +21,9 @@ val run :
   depth:int ->
   unit ->
   (Simkit.Exhaustive.verdict * Simkit.Exhaustive.stats, string) result
-(** Start a fresh checkpointed check ([depth] >= 2; [split_depth] defaults
-    to {!Frontier.default_split_depth}). [Error] covers configuration
+(** Start a fresh checkpointed check ([depth] >= 2, split at
+    {!Frontier.default_split_depth}; another split depth is
+    {!Frontier.run} with {!executor}). [Error] covers configuration
     mistakes and a store that cannot take the first generation. *)
 
 val resume :
@@ -36,6 +36,13 @@ val resume :
   result
 (** {!Frontier.resume} of the newest intact record in [store]. [Error]
     when there is none, or as {!Frontier.resume}. *)
+
+val checkpoint_field : Store.t -> resumed:bool -> string * Obs.Json.t
+(** The ["checkpoint"] field of a checkpointed result, shared by
+    [wfa --json] and the served [modelcheck] reply: the store's directory,
+    whether the run resumed, and ["save_errors"] ({!Store.save_errors})
+    when a save after the first failed — the answer stands, the store
+    lags behind it. Read it after the run. *)
 
 val load_record : Store.t -> (int * Record.t, string) result
 (** The newest intact generation parsed as a {!Record} — shared by

@@ -9,6 +9,7 @@ type t = {
   sink : Obs.Sink.t option;
   metrics : Obs.Metrics.registry option;
   mutable next_gen : int;
+  mutable save_errors : int;
 }
 
 (* -- layout ----------------------------------------------------------------
@@ -46,6 +47,7 @@ let fnv64 s =
 let gen_name g = Printf.sprintf "gen-%06d.ckpt" g
 let generation_path t g = Filename.concat t.dir (gen_name g)
 let dir t = t.dir
+let save_errors t = t.save_errors
 
 let gen_of_name name =
   match Scanf.sscanf_opt name "gen-%d.ckpt%!" Fun.id with
@@ -101,7 +103,8 @@ let create ?(codec = Binary) ?(keep = 3) ?sink ?metrics dir =
     let next_gen =
       match List.rev gens with [] -> 0 | newest :: _ -> newest + 1
     in
-    Ok { dir; codec; keep = max 1 keep; sink; metrics; next_gen }
+    let keep = max 1 keep in
+    Ok { dir; codec; keep; sink; metrics; next_gen; save_errors = 0 }
 
 (* -- durable write --------------------------------------------------------- *)
 
@@ -194,6 +197,7 @@ let save t value =
   let contents = encode_generation t.codec value in
   match write_atomic ~dir:t.dir ~name:(gen_name gen) contents with
   | Error msg as e ->
+      t.save_errors <- t.save_errors + 1;
       emit t Obs.Event.Name.ckpt_save_error
         [ ("gen", J.Int gen); ("error", J.Str msg) ];
       e

@@ -52,6 +52,11 @@ val save : t -> Obs.Json.t -> (int, string) result
     and emits [ckpt.save.error]; the store's existing generations are
     untouched in that case. *)
 
+val save_errors : t -> int
+(** Failed {!save}s through this handle so far — how a run that outlived
+    its later saves ({!Frontier}'s journal rule) tells its caller that
+    the store lags behind the answer. *)
+
 val load : t -> (int * Obs.Json.t) option
 (** The newest intact generation and its number. [None] when the store
     holds no valid generation (fresh directory, or all corrupt). *)

@@ -8,7 +8,6 @@ type report = {
   r_verdict : Exhaustive.verdict;
   r_stats : Exhaustive.stats;
   r_jobs : int;
-  r_frontier_pruned : int;
   r_redispatched : int;
   r_workers : worker_report list;
 }
@@ -308,19 +307,16 @@ let executor ?sink ?(retries = 5) ?(backoff_ms = 50) ?deadline_ms
             ];
           Ok { redispatched = st.redispatched; workers })
 
-let run ?sink ?split_depth ?(reduce = false) ?retries ?backoff_ms
-    ?deadline_ms ?window ?checkpoint ~scenario ~depth ~workers () =
+let run ?sink ?(reduce = false) ?retries ?backoff_ms ?deadline_ms ?window
+    ~scenario ~depth ~workers () =
   Result.bind
     (executor ?sink ?retries ?backoff_ms ?deadline_ms ?window workers)
-    (fun exec ->
-      Ckpt.Frontier.run ?journal:checkpoint ?split_depth ~reduce ~scenario
-        ~depth exec)
+    (Ckpt.Frontier.run ~reduce ~scenario ~depth)
   |> Result.map (fun (o : fleet Ckpt.Frontier.outcome) ->
          {
            r_verdict = o.verdict;
            r_stats = o.stats;
            r_jobs = o.jobs;
-           r_frontier_pruned = o.pruned;
            r_redispatched = o.executor.redispatched;
            r_workers = o.executor.workers;
          })

@@ -29,7 +29,6 @@ type report = {
   r_verdict : Simkit.Exhaustive.verdict;
   r_stats : Simkit.Exhaustive.stats;
   r_jobs : int;
-  r_frontier_pruned : int;
   r_redispatched : int;
   r_workers : worker_report list;
 }
@@ -53,20 +52,19 @@ val executor :
 
 val run :
   ?sink:Obs.Sink.t ->
-  ?split_depth:int ->
   ?reduce:bool ->
   ?retries:int ->
   ?backoff_ms:int ->
   ?deadline_ms:int ->
   ?window:int ->
-  ?checkpoint:Ckpt.Store.t * float ->
   scenario:Mcheck.Scenario.t ->
   depth:int ->
   workers:string list ->
   unit ->
   (report, string) result
-(** {!executor} under {!Ckpt.Frontier.run}, with [checkpoint] as its
-    [journal]: check [scenario] to [depth] over [workers]. [Error] covers
-    configuration mistakes, a store that cannot take the first generation
-    and total fleet failure; a counterexample is a {!report} whose verdict
-    is [Counterexample]. *)
+(** {!executor} under {!Ckpt.Frontier.run} at the default split depth and
+    without a journal: check [scenario] to [depth] over [workers]. A split
+    depth, a journal or a resume record is {!Ckpt.Frontier.run} with
+    {!executor}. [Error] covers configuration mistakes and total fleet
+    failure; a counterexample is a {!report} whose verdict is
+    [Counterexample]. *)

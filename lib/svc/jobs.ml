@@ -151,14 +151,7 @@ let modelcheck_result ~scenario ~depth ~n_s ~reduce ?checkpoint (verdict, stats)
      ]
     @ Exhaustive.verdict_fields verdict
     @ [ ("stats", Exhaustive.stats_json stats) ]
-    @
-    match checkpoint with
-    | None -> []
-    | Some (dir, resumed) ->
-      [
-        ( "checkpoint",
-          J.Obj [ ("dir", J.Str dir); ("resumed", J.Bool resumed) ] );
-      ])
+    @ Option.to_list checkpoint)
 
 (* With "checkpoint_dir" the verb runs the partitioned, journaling engine
    ({!Ckpt.Local}) instead of the monolithic DFS; with "resume": true it
@@ -204,7 +197,8 @@ let modelcheck ~cancel params =
         modelcheck_result ~scenario:config.Ckpt.Record.cf_scenario
           ~depth:config.Ckpt.Record.cf_depth ~n_s:config.Ckpt.Record.cf_n_s
           ~reduce:config.Ckpt.Record.cf_reduce
-          ~checkpoint:(dir, true) (verdict, stats)
+          ~checkpoint:(Ckpt.Local.checkpoint_field store ~resumed)
+          (verdict, stats)
     else
       let sc = scenario_param params in
       match
@@ -214,7 +208,8 @@ let modelcheck ~cancel params =
       | Error msg -> bad "%s" msg
       | Ok (verdict, stats) ->
         modelcheck_result ~scenario:sc.Mcheck.Scenario.sc_name ~depth
-          ~n_s:sc.Mcheck.Scenario.sc_n_s ~reduce ~checkpoint:(dir, false)
+          ~n_s:sc.Mcheck.Scenario.sc_n_s ~reduce
+          ~checkpoint:(Ckpt.Local.checkpoint_field store ~resumed)
           (verdict, stats))
 
 (* One frontier subtree of a distributed exhaustive search. The coordinator

@@ -29,7 +29,8 @@ val run :
       with [resume: true] it continues the record in [checkpoint_dir]
       instead of starting over (ignoring [scenario]/[depth]/[n_s]/[reduce]
       — the record's config wins). The result then carries a
-      ["checkpoint"] field. Verdict and credited count are identical
+      ["checkpoint"] field, with ["save_errors"] when some save after the
+      first failed (the answer stands; the store lags behind it). Verdict and credited count are identical
       across all three paths.
     - [fuzz]: [kind], [n], [j], [seed], [budget], [domains] — adversary
       fuzzing; result [{ "found": bool, "fuzz": ..., "witness": ... }].

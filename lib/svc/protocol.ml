@@ -110,6 +110,14 @@ let check_version j =
   | Some _ -> Error "unsupported protocol version"
   | None -> Error "missing field \"v\""
 
+let int_field name j =
+  match J.member name j with
+  | Some v -> (
+    match J.to_int_opt v with
+    | Some n -> Ok n
+    | None -> Error (Printf.sprintf "field %S is not an integer" name))
+  | None -> Error (Printf.sprintf "missing field %S" name)
+
 let max_deadline_ms = 0x7fffffff
 
 let ( let* ) = Result.bind
@@ -118,11 +126,15 @@ let request_of_json j =
   match j with
   | J.Obj _ ->
     let* () = check_version j in
-    let* id = J.int_field "id" j in
-    let* verb = J.string_field "verb" j in
+    let* id = int_field "id" j in
     let* verb =
-      Option.to_result (verb_of_string verb)
-        ~none:(Printf.sprintf "unknown verb %S" verb)
+      match J.member "verb" j with
+      | Some (J.Str s) -> (
+        match verb_of_string s with
+        | Some v -> Ok v
+        | None -> Error (Printf.sprintf "unknown verb %S" s))
+      | Some _ -> Error "field \"verb\" is not a string"
+      | None -> Error "missing field \"verb\""
     in
     let* params =
       match J.member "params" j with
@@ -153,11 +165,14 @@ let response_of_json j =
   match j with
   | J.Obj _ ->
     let* () = check_version j in
-    let* id = J.int_field "id" j in
-    let* ok = J.bool_field "ok" j in
+    let* id = int_field "id" j in
     let* result =
-      if ok then Result.map Result.ok (J.field "result" j)
-      else
+      match J.member "ok" j with
+      | Some (J.Bool true) -> (
+        match J.member "result" j with
+        | Some r -> Ok (Ok r)
+        | None -> Error "missing field \"result\"")
+      | Some (J.Bool false) -> (
         match J.member "error" j with
         | Some (J.Obj _ as e) -> (
           match (J.member "code" e, J.member "msg" e) with
@@ -167,7 +182,9 @@ let response_of_json j =
             | None -> Error (Printf.sprintf "unknown error code %S" c))
           | _ -> Error "malformed \"error\" object")
         | Some _ -> Error "field \"error\" is not an object"
-        | None -> Error "missing field \"error\""
+        | None -> Error "missing field \"error\"")
+      | Some _ -> Error "field \"ok\" is not a boolean"
+      | None -> Error "missing field \"ok\""
     in
     Ok { rs_id = id; rs_result = result }
   | _ -> Error "response is not an object"

@@ -9,7 +9,8 @@
 # verdict, credited count and pruning counters are byte-identical to a run
 # that was never interrupted. Last, a store that cannot take its first
 # generation must fail the run (exit 2) on both paths, never report a
-# verdict with nothing on disk.
+# verdict with nothing on disk; and one whose later saves fail must keep
+# the answer but say, on stderr and in --json, that the store lags.
 set -eu
 
 WFA=${WFA:-_build/default/bin/wfa.exe}
@@ -131,6 +132,32 @@ unwritable_store() {
 echo "ckpt_smoke: unwritable store fails the run, local and on the fleet"
 unwritable_store local
 unwritable_store dist --workers "$A1,$A2"
+
+# $1 = tag, $2... = extra modelcheck flags; the first generation lands but
+# every later save fails: the answer stands (exit 0), stderr warns, and
+# --json counts the failed saves
+failing_saves() {
+  TAG=$1
+  STORE="$D/lagging-$TAG"
+  shift
+  mkdir -p "$STORE/tmp-gen-000001.ckpt"
+  "$WFA" modelcheck --depth 6 --n-s 2 --checkpoint "$STORE" "$@" \
+    --json "$D/lagging-$TAG.json" > "$D/lagging.out" 2> "$D/lagging.err" || {
+    echo "ckpt_smoke: $TAG: a failed later save stopped the run" >&2
+    cat "$D/lagging.out" "$D/lagging.err" >&2
+    exit 1
+  }
+  grep -q 'checkpoint save(s) failed' "$D/lagging.err" &&
+    grep -q '"save_errors"' "$D/lagging-$TAG.json" || {
+    echo "ckpt_smoke: $TAG: failed later saves went unreported" >&2
+    cat "$D/lagging.err" "$D/lagging-$TAG.json" >&2
+    exit 1
+  }
+}
+
+echo "ckpt_smoke: failed later saves are reported, local and on the fleet"
+failing_saves local
+failing_saves dist --workers "$A1,$A2"
 
 trap - EXIT
 kill "$W1" "$W2" 2>/dev/null || true

@@ -509,6 +509,8 @@ let journal_rule ~label run =
         (List.exists
            (fun ev -> ev.Obs.Event.name = Obs.Event.Name.ckpt_save_error)
            (events ()));
+      check_bool (label ^ ": the store counts its failed saves") true
+        (Ckpt.Store.save_errors store > 0);
       (match Ckpt.Local.load_record store with
       | Ok (0, r) ->
         check_int (label ^ ": generation 0 is the initial one") 0
@@ -527,6 +529,37 @@ let test_local_journal_rule () =
       Ckpt.Local.run ~interval_s:0. ~reduce ~store
         ~scenario:(scenario name ~n_s) ~depth ()
       |> Result.map fst)
+
+(* The served verb under the same rule: a later save that fails leaves
+   the answer standing, and the reply's checkpoint field counts it. *)
+let test_served_save_errors () =
+  let save_errors ~blocked =
+    with_store (fun store ->
+        let dir = Ckpt.Store.dir store in
+        if blocked then
+          Unix.mkdir (Filename.concat dir "tmp-gen-000001.ckpt") 0o755;
+        let params =
+          J.Obj
+            [
+              ("scenario", J.Str "safe-agreement");
+              ("n_s", J.Int 2);
+              ("depth", J.Int 6);
+              ("checkpoint_dir", J.Str dir);
+            ]
+        in
+        match Svc.Jobs.run Svc.Protocol.Modelcheck params with
+        | Error (_, msg) -> Alcotest.failf "blocked=%b: %s" blocked msg
+        | Ok j ->
+          check_bool "the answer stands" true
+            (J.member "schedules" j = Some (J.Int 4096));
+          Option.bind (J.member "checkpoint" j) (J.member "save_errors"))
+  in
+  check_bool "a healthy store reports no save errors" true
+    (save_errors ~blocked:false = None);
+  check_bool "a failed final save is counted" true
+    (match save_errors ~blocked:true with
+    | Some (J.Int n) -> n >= 1
+    | _ -> false)
 
 (* Stores written by an earlier build: one newest generation each, cut
    part-way through a run (binary codec, and JSON with a recorded
@@ -607,4 +640,6 @@ let suite =
       test_golden_store_resumes;
     Alcotest.test_case "journal rule: first save fatal, later saves not"
       `Quick test_local_journal_rule;
+    Alcotest.test_case "served run counts failed later saves" `Quick
+      test_served_save_errors;
   ]

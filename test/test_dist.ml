@@ -550,9 +550,9 @@ let test_coordinator_journal_rule () =
       let workers = List.map snd servers in
       Test_ckpt.journal_rule ~label:"fleet"
         (fun store (name, n_s, depth, reduce) ->
-          Dist.Coordinator.run ~checkpoint:(store, 0.) ~reduce
-            ~scenario:(Test_ckpt.scenario name ~n_s) ~depth ~workers ()
-          |> Result.map (fun r -> r.Dist.Coordinator.r_verdict)))
+          Ckpt.Frontier.run ~journal:(store, 0.) ~reduce
+            ~scenario:(Test_ckpt.scenario name ~n_s) ~depth (fleet workers)
+          |> Result.map (fun o -> o.Ckpt.Frontier.verdict)))
 
 let suite =
   [
