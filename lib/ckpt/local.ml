@@ -24,15 +24,10 @@ let checkpoint_field store ~resumed =
 
 let executor ?cancel () sc config _fr ~todo ~report =
   let reduce = Mcheck.Scenario.reduction sc ~reduce:config.Record.cf_reduce in
-  List.iter
-    (fun sj ->
-      ignore
-        (report sj.Exhaustive.sj_id
-           (Exhaustive.run_subtree ?reduce ?cancel
-              ~build:sc.Mcheck.Scenario.sc_build
-              ~pids:sc.Mcheck.Scenario.sc_pids ~depth:config.Record.cf_depth
-              ~prop:sc.Mcheck.Scenario.sc_prop sj)))
-    todo;
+  Exhaustive.run_subtrees ?reduce ?cancel ~build:sc.Mcheck.Scenario.sc_build
+    ~pids:sc.Mcheck.Scenario.sc_pids ~depth:config.Record.cf_depth
+    ~prop:sc.Mcheck.Scenario.sc_prop todo (fun sj result ->
+      ignore (report sj.Exhaustive.sj_id result));
   Ok ()
 
 let run ?(interval_s = default_interval_s) ?(reduce = false) ?cancel ~store

@@ -9,8 +9,9 @@ val default_interval_s : float
 (** 30 seconds. *)
 
 val executor : ?cancel:(unit -> bool) -> unit -> unit Frontier.executor
-(** Runs the jobs one by one in DFS order with
-    {!Simkit.Exhaustive.run_subtree}, polling [cancel]. *)
+(** Runs the jobs in DFS order through one
+    {!Simkit.Exhaustive.run_subtrees} call, so they share one memo table,
+    polling [cancel]. *)
 
 val run :
   ?interval_s:float ->

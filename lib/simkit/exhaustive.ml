@@ -130,7 +130,7 @@ let merge_verdicts ~pids a b =
 exception Cancelled
 
 (* ------------------------------------------------------------------ *)
-(* The engine: one DFS, shared by {!run}, {!split} and {!run_subtree}.
+(* The engine: one DFS, shared by {!run}, {!split} and {!run_subtrees}.
 
    Incremental: one live runtime is kept per DFS path, so descending into
    the first child of a node is a single [Runtime.step]; only when the DFS
@@ -193,13 +193,16 @@ exception Cancelled
    child whose remaining depth reaches the cut is handed to [emit] as a
    frontier job instead of being expanded. So
 
-     split + run_subtree over every job + merge  =  run
+     split + run_subtrees over every job + merge  =  run
 
    for verdicts and credited counts by construction: prunes above the
    frontier are credited by the splitting search itself, prunes below it by
    the same code seeded with the frontier context, and jobs are emitted in
    DFS (= lex) order, so every counterexample inside job i lex-precedes
-   every one inside job j > i. *)
+   every one inside job j > i. The jobs of one [run_subtrees] call share
+   one memo table, so a hit across jobs is a hit across sibling branches
+   of [run], under the same ⊆-mask rule; only effort counters depend on
+   how the jobs are grouped into calls. *)
 
 type reduction = { sleep : bool; symmetry : Pid.t list list }
 
@@ -286,12 +289,17 @@ type 'e entry = { mk : int -> int -> 'e; count : 'e -> int; mask : 'e -> int }
 let bare = { mk = (fun c _ -> c); count = Fun.id; mask = (fun _ -> 0) }
 let masked = { mk = (fun c z -> (c, z)); count = fst; mask = snd }
 
-(* The DFS from [seed] to full [depth]: the lex-least violating schedule, or
-   [None] with the credited count added to [acc]. Raises [Cancelled] when
-   [cancel] fires. With [~cut], children [cut] steps short of [depth] are
-   passed to [emit prefix_rev mask factor used] instead of expanded. *)
+(* [dfs ... ()] is a search [explore seed acc]: the DFS from [seed] to full
+   [depth], giving the lex-least violating schedule, or [None] with the
+   credited count added to [acc]. Raises [Cancelled] when [cancel] fires.
+   With [~cut], children [cut] steps short of [depth] are passed to
+   [emit prefix_rev mask factor used] instead of expanded. Every search of
+   one [explore] shares its memo table, which lives exactly as long as
+   [explore]: seeds from one split meet digest-equal states the way sibling
+   branches of one run do (the digest holds the clock, so equal digests
+   are at equal depth). *)
 let dfs ~ctx ~build ~depth ~prop ~mode ~memo ~cancel ?(cut = -1)
-    ?(emit = fun _ _ _ _ -> ()) seed acc =
+    ?(emit = fun _ _ _ _ -> ()) () =
   let search (type e) (entry : e entry) =
     let every = mode = Every in
     let pids = ctx.c_pids in
@@ -300,150 +308,152 @@ let dfs ~ctx ~build ~depth ~prop ~mode ~memo ~cancel ?(cut = -1)
     let tbl : (string, e) Hashtbl.t option =
       if memo then Some (Hashtbl.create 4096) else None
     in
-    let used = Array.copy seed.s_used in
-    let cur = ref None in
-    let destroy_cur () =
-      Option.iter Runtime.destroy !cur;
-      cur := None
-    in
-    let peek_all rt = if ctx.c_peek then Array.iter (Runtime.peek rt) pids in
-    let build_fresh () =
-      acc.a_built <- acc.a_built + 1;
-      let rt = build () in
-      cur := Some rt;
-      rt
-    in
-    let step rt i =
-      Runtime.step rt pids.(i);
-      acc.a_steps <- acc.a_steps + 1;
-      peek_all rt
-    in
-    let replay prefix_rev =
-      destroy_cur ();
-      acc.a_replays <- acc.a_replays + 1;
-      let rt = build_fresh () in
-      List.iter (step rt) (List.rev prefix_rev);
-      peek_all rt;
-      rt
-    in
-    let cex_of prefix_rev = List.rev_map (fun i -> pids.(i)) prefix_rev in
-    let rec expand rt prefix_rev d ~z ~factor =
-      if d = 0 then begin
-        acc.a_count <- acc.a_count + factor;
-        if (not every) && prefix_rev <> [] && not (prop rt) then
-          Some (cex_of prefix_rev)
-        else None
-      end
-      else begin
-        (* Footprints of everyone's next step at this node: stable below it,
-           valid after replays (which reconstruct this very state). *)
-        let fp =
-          if ctx.c_sleep then Array.map (Runtime.footprint rt) pids else [||]
-        in
-        let rec kids live before = function
-          | [] -> None
-          | i :: rest ->
-            if cancel () then raise Cancelled;
-            let c = ctx.c_cls.(i) in
-            (* orbit multiplier; 0 for a non-canonical fresh class member *)
-            let mult =
-              if c < 0 then 1
-              else
-                let j = ctx.c_pos.(i) and u = used.(c) in
-                if j < u then 1 else if j = u then ctx.c_size.(c) - u else 0
-            in
-            if mult = 0 then begin
-              (* its subtree is a renaming of the canonical representative's,
-                 already counted in that child's multiplier *)
-              acc.a_orbits <- acc.a_orbits + 1;
-              kids live before rest
-            end
-            else if ctx.c_sleep && z land (1 lsl i) <> 0 then begin
-              (* every continuation is trace-equivalent to a lex-smaller
-                 explored schedule: credit the whole subtree *)
-              acc.a_sleep <- acc.a_sleep + 1;
-              acc.a_count <- acc.a_count + (factor * mult * ctx.c_pow.(d - 1));
-              kids live before rest
-            end
-            else begin
-              let rt = if live then rt else replay prefix_rev in
-              step rt i;
-              acc.a_nodes <- acc.a_nodes + 1;
-              let prefix_rev' = i :: prefix_rev in
-              if every && not (prop rt) then Some (cex_of prefix_rev')
-              else begin
-                let z' =
-                  if not ctx.c_sleep then 0
-                  else begin
-                    let zin = z lor before and m = ref 0 in
-                    for q = 0 to n - 1 do
-                      if
-                        zin land (1 lsl q) <> 0
-                        && Runtime.commute fp.(q) fp.(i)
-                      then m := !m lor (1 lsl q)
-                    done;
-                    !m
-                  end
-                in
-                let fm = factor * mult in
-                let key =
-                  match tbl with
-                  | Some _ when d > 1 -> Some (Runtime.digest rt)
-                  | _ -> None
-                in
-                let stored =
-                  match (key, tbl) with
-                  | Some k, Some table -> Hashtbl.find_opt table k
-                  | _ -> None
-                in
-                match stored with
-                | Some e when entry.mask e land lnot z' = 0 ->
-                  acc.a_memo <- acc.a_memo + 1;
-                  acc.a_count <- acc.a_count + (fm * entry.count e);
-                  kids false (before lor (1 lsl i)) rest
-                | _ -> (
-                  (* Miss, or the stored exploration slept on steps this node
-                     may not skip: (re-)explore under the intersection and
-                     tighten the entry. *)
-                  let z_explore =
-                    match stored with
-                    | Some e -> entry.mask e land z'
-                    | None -> z'
-                  in
-                  let fresh_member = c >= 0 && ctx.c_pos.(i) = used.(c) in
-                  if fresh_member then used.(c) <- used.(c) + 1;
-                  let count0 = acc.a_count in
-                  let sub =
-                    if d - 1 = cut then begin
-                      emit prefix_rev' z_explore fm used;
-                      None
-                    end
-                    else expand rt prefix_rev' (d - 1) ~z:z_explore ~factor:fm
-                  in
-                  if fresh_member then used.(c) <- used.(c) - 1;
-                  match sub with
-                  | Some cex -> Some cex
-                  | None ->
-                    (match (key, tbl) with
-                    | Some k, Some table ->
-                      Hashtbl.replace table k
-                        (entry.mk ((acc.a_count - count0) / fm) z_explore)
-                    | _ -> ());
-                    kids false (before lor (1 lsl i)) rest)
-              end
-            end
-        in
-        kids true 0 all
-      end
-    in
-    Fun.protect ~finally:destroy_cur (fun () ->
+    fun seed acc ->
+      let used = Array.copy seed.s_used in
+      let cur = ref None in
+      let destroy_cur () =
+        Option.iter Runtime.destroy !cur;
+        cur := None
+      in
+      let peek_all rt = if ctx.c_peek then Array.iter (Runtime.peek rt) pids in
+      let build_fresh () =
+        acc.a_built <- acc.a_built + 1;
+        let rt = build () in
+        cur := Some rt;
+        rt
+      in
+      let step rt i =
+        Runtime.step rt pids.(i);
+        acc.a_steps <- acc.a_steps + 1;
+        peek_all rt
+      in
+      let replay prefix_rev =
+        destroy_cur ();
+        acc.a_replays <- acc.a_replays + 1;
         let rt = build_fresh () in
+        List.iter (step rt) (List.rev prefix_rev);
         peek_all rt;
-        List.iter (step rt) seed.s_prefix;
-        expand rt
-          (List.rev seed.s_prefix)
-          (depth - List.length seed.s_prefix)
-          ~z:seed.s_z ~factor:seed.s_factor)
+        rt
+      in
+      let cex_of prefix_rev = List.rev_map (fun i -> pids.(i)) prefix_rev in
+      let rec expand rt prefix_rev d ~z ~factor =
+        if d = 0 then begin
+          acc.a_count <- acc.a_count + factor;
+          if (not every) && prefix_rev <> [] && not (prop rt) then
+            Some (cex_of prefix_rev)
+          else None
+        end
+        else begin
+          (* Footprints of everyone's next step at this node: stable below it,
+             valid after replays (which reconstruct this very state). *)
+          let fp =
+            if ctx.c_sleep then Array.map (Runtime.footprint rt) pids else [||]
+          in
+          let rec kids live before = function
+            | [] -> None
+            | i :: rest ->
+              if cancel () then raise Cancelled;
+              let c = ctx.c_cls.(i) in
+              (* orbit multiplier; 0 for a non-canonical fresh class member *)
+              let mult =
+                if c < 0 then 1
+                else
+                  let j = ctx.c_pos.(i) and u = used.(c) in
+                  if j < u then 1 else if j = u then ctx.c_size.(c) - u else 0
+              in
+              if mult = 0 then begin
+                (* its subtree is a renaming of the canonical representative's,
+                   already counted in that child's multiplier *)
+                acc.a_orbits <- acc.a_orbits + 1;
+                kids live before rest
+              end
+              else if ctx.c_sleep && z land (1 lsl i) <> 0 then begin
+                (* every continuation is trace-equivalent to a lex-smaller
+                   explored schedule: credit the whole subtree *)
+                acc.a_sleep <- acc.a_sleep + 1;
+                acc.a_count <-
+                  acc.a_count + (factor * mult * ctx.c_pow.(d - 1));
+                kids live before rest
+              end
+              else begin
+                let rt = if live then rt else replay prefix_rev in
+                step rt i;
+                acc.a_nodes <- acc.a_nodes + 1;
+                let prefix_rev' = i :: prefix_rev in
+                if every && not (prop rt) then Some (cex_of prefix_rev')
+                else begin
+                  let z' =
+                    if not ctx.c_sleep then 0
+                    else begin
+                      let zin = z lor before and m = ref 0 in
+                      for q = 0 to n - 1 do
+                        if
+                          zin land (1 lsl q) <> 0
+                          && Runtime.commute fp.(q) fp.(i)
+                        then m := !m lor (1 lsl q)
+                      done;
+                      !m
+                    end
+                  in
+                  let fm = factor * mult in
+                  let key =
+                    match tbl with
+                    | Some _ when d > 1 -> Some (Runtime.digest rt)
+                    | _ -> None
+                  in
+                  let stored =
+                    match (key, tbl) with
+                    | Some k, Some table -> Hashtbl.find_opt table k
+                    | _ -> None
+                  in
+                  match stored with
+                  | Some e when entry.mask e land lnot z' = 0 ->
+                    acc.a_memo <- acc.a_memo + 1;
+                    acc.a_count <- acc.a_count + (fm * entry.count e);
+                    kids false (before lor (1 lsl i)) rest
+                  | _ -> (
+                    (* Miss, or the stored exploration slept on steps this node
+                       may not skip: (re-)explore under the intersection and
+                       tighten the entry. *)
+                    let z_explore =
+                      match stored with
+                      | Some e -> entry.mask e land z'
+                      | None -> z'
+                    in
+                    let fresh_member = c >= 0 && ctx.c_pos.(i) = used.(c) in
+                    if fresh_member then used.(c) <- used.(c) + 1;
+                    let count0 = acc.a_count in
+                    let sub =
+                      if d - 1 = cut then begin
+                        emit prefix_rev' z_explore fm used;
+                        None
+                      end
+                      else expand rt prefix_rev' (d - 1) ~z:z_explore ~factor:fm
+                    in
+                    if fresh_member then used.(c) <- used.(c) - 1;
+                    match sub with
+                    | Some cex -> Some cex
+                    | None ->
+                      (match (key, tbl) with
+                      | Some k, Some table ->
+                        Hashtbl.replace table k
+                          (entry.mk ((acc.a_count - count0) / fm) z_explore)
+                      | _ -> ());
+                      kids false (before lor (1 lsl i)) rest)
+                end
+              end
+          in
+          kids true 0 all
+        end
+      in
+      Fun.protect ~finally:destroy_cur (fun () ->
+          let rt = build_fresh () in
+          peek_all rt;
+          List.iter (step rt) seed.s_prefix;
+          expand rt
+            (List.rev seed.s_prefix)
+            (depth - List.length seed.s_prefix)
+            ~z:seed.s_z ~factor:seed.s_factor)
   in
   if ctx.c_sleep then search masked else search bare
 
@@ -458,7 +468,7 @@ let run ?(memo = true) ?(mode = Every) ?reduce ?(cancel = never_cancel) ~build
   let ctx = compile ~who:"run" ~pids ~depth reduce in
   let sp = Obs.Span.start ~name:"exhaustive.run" () in
   let acc = fresh_acc () in
-  let r = dfs ~ctx ~build ~depth ~prop ~mode ~memo ~cancel (root ctx) acc in
+  let r = dfs ~ctx ~build ~depth ~prop ~mode ~memo ~cancel () (root ctx) acc in
   (verdict_of acc r, stats_of ~wall_s:(Obs.Span.elapsed_s sp) acc)
 
 (* ------------------------------------------------------------------ *)
@@ -504,7 +514,7 @@ let split ?(mode = Every) ?reduce ~build ~pids ~depth ~split_depth ~prop () =
   in
   let cex =
     dfs ~ctx ~build ~depth ~prop ~mode ~memo:false ~cancel:never_cancel
-      ~cut:(depth - split_depth) ~emit (root ctx) acc
+      ~cut:(depth - split_depth) ~emit () (root ctx) acc
   in
   {
     fr_jobs = List.rev !jobs;
@@ -524,43 +534,52 @@ let merge_frontier ~pids fr results =
   | None -> (verdict, stats)
   | Some cex -> (merge_verdicts ~pids verdict (Counterexample cex), stats)
 
-let run_subtree ?(memo = true) ?(mode = Every) ?reduce
-    ?(cancel = never_cancel) ~build ~pids ~depth ~prop sj =
-  let fail msg = invalid_arg ("Exhaustive.run_subtree: " ^ msg) in
-  let k = List.length sj.sj_prefix in
-  if k < 1 || k >= depth then fail "prefix length must be in [1, depth)";
-  let ctx = compile ~who:"run_subtree" ~pids ~depth reduce in
+let run_subtrees ?(memo = true) ?(mode = Every) ?reduce
+    ?(cancel = never_cancel) ~build ~pids ~depth ~prop jobs report =
+  let fail msg = invalid_arg ("Exhaustive.run_subtrees: " ^ msg) in
+  let ctx = compile ~who:"run_subtrees" ~pids ~depth reduce in
   let idx p =
     match Array.find_index (Pid.equal p) ctx.c_pids with
     | Some i -> i
     | None -> fail "job pid not in pids"
   in
-  let s_prefix = List.map idx sj.sj_prefix in
-  let s_z = List.fold_left (fun z p -> z lor (1 lsl idx p)) 0 sj.sj_sleep in
-  let s_used = Array.make (Array.length ctx.c_size) 0 in
-  if not ctx.c_peek then begin
-    if sj.sj_factor <> 1 || sj.sj_sleep <> [] || sj.sj_used <> [] then
-      fail "job carries reduction context but no reduction is enabled"
-  end
-  else begin
-    (match sj.sj_used with
-    | [] -> ()
-    | us ->
-      if List.length us <> Array.length s_used then
-        fail "used-count list does not match symmetry classes";
-      List.iteri
-        (fun c u ->
-          if u < 0 || u > ctx.c_size.(c) then
-            fail "used count exceeds class size";
-          s_used.(c) <- u)
-        us);
-    if sj.sj_factor < 1 then fail "factor must be >= 1"
-  end;
-  let sp = Obs.Span.start ~name:"exhaustive.run_subtree" () in
-  let acc = fresh_acc () in
-  let seed = { s_prefix; s_z; s_factor = sj.sj_factor; s_used } in
-  let r = dfs ~ctx ~build ~depth ~prop ~mode ~memo ~cancel seed acc in
-  (verdict_of acc r, stats_of ~wall_s:(Obs.Span.elapsed_s sp) acc)
+  (* every job is checked before any is explored *)
+  let seed_of sj =
+    let k = List.length sj.sj_prefix in
+    if k < 1 || k >= depth then fail "prefix length must be in [1, depth)";
+    let s_prefix = List.map idx sj.sj_prefix in
+    let s_z = List.fold_left (fun z p -> z lor (1 lsl idx p)) 0 sj.sj_sleep in
+    let s_used = Array.make (Array.length ctx.c_size) 0 in
+    if not ctx.c_peek then begin
+      if sj.sj_factor <> 1 || sj.sj_sleep <> [] || sj.sj_used <> [] then
+        fail "job carries reduction context but no reduction is enabled"
+    end
+    else begin
+      (match sj.sj_used with
+      | [] -> ()
+      | us ->
+        if List.length us <> Array.length s_used then
+          fail "used-count list does not match symmetry classes";
+        List.iteri
+          (fun c u ->
+            if u < 0 || u > ctx.c_size.(c) then
+              fail "used count exceeds class size";
+            s_used.(c) <- u)
+          us);
+      if sj.sj_factor < 1 then fail "factor must be >= 1"
+    end;
+    (sj, { s_prefix; s_z; s_factor = sj.sj_factor; s_used })
+  in
+  let seeded = List.map seed_of jobs in
+  let explore = dfs ~ctx ~build ~depth ~prop ~mode ~memo ~cancel () in
+  List.iter
+    (fun (sj, seed) ->
+      let sp = Obs.Span.start ~name:"exhaustive.subtree" () in
+      let acc = fresh_acc () in
+      let r = explore seed acc in
+      let wall_s = Obs.Span.elapsed_s sp in
+      report sj (verdict_of acc r, stats_of ~wall_s acc))
+    seeded
 
 (* ------------------------------------------------ subtree wire format *)
 

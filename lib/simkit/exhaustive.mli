@@ -17,9 +17,10 @@
     One DFS serves every entry point. It starts at a seeded node (the root,
     or a frontier job's prefix and reduction context) and can cut at a
     frontier depth, emitting jobs there instead of recursing: {!run} is the
-    DFS from the root, {!split} the DFS with the cut, {!run_subtree} the DFS
-    from a job. Parallelism lives above the engine — run {!split}'s jobs
-    anywhere and fold their results with {!merge_frontier}.
+    DFS from the root, {!split} the DFS with the cut, {!run_subtrees} the
+    DFS from each of a list of jobs. Parallelism lives above the engine —
+    run {!split}'s jobs anywhere and fold their results with
+    {!merge_frontier}.
 
     Cost before pruning is |pids|^depth schedules: keep |pids| ≤ 4 and
     depth ≤ 12 or so. Every entry point raises [Invalid_argument] before
@@ -97,7 +98,7 @@ val record_stats : ?labels:(string * string) list -> Obs.Metrics.registry -> sta
 (** {1 Sound state-space reduction}
 
     Optional pruning layers of the one DFS, so they apply alike to {!run},
-    {!split} and {!run_subtree} and compose with the memo. Both are
+    {!split} and {!run_subtrees} and compose with the memo. Both are
     {e credited}: a pruned subtree's complete schedules are added to the
     count, so verdicts — exact counts and the identity of the first
     counterexample (DFS order is lexicographic, and the lex-least violating
@@ -125,9 +126,10 @@ val no_reduction : reduction
     exactly the unreduced run. *)
 
 exception Cancelled
-(** Raised by {!run} and {!run_subtree} when the [?cancel] hook fired: the
+(** Raised by {!run} and {!run_subtrees} when the [?cancel] hook fired: the
     search was abandoned mid-enumeration, so {e no} verdict — not even a
-    partial count — is reported. Re-running the same configuration without
+    partial count — is reported (by {!run_subtrees}: for the job it was
+    in and the jobs after it). Re-running the same configuration without
     [?cancel] reproduces the full deterministic verdict. *)
 
 val run :
@@ -161,13 +163,14 @@ val run :
     it emits every frontier node as a self-contained {!subtree} job
     carrying the schedule prefix plus the exact reduction context (sleep
     mask, orbit-multiplier product, per-class used counts) the whole-tree
-    DFS holds when it enters that node. {!run_subtree} — typically on
-    another process, via the [subtree] service verb — runs the same DFS
-    seeded with that context. Folding
+    DFS holds when it enters that node. {!run_subtrees} — in process over
+    every job, or on another process one job at a time via the [subtree]
+    service verb — runs the same DFS seeded with that context. Folding
     {!merge_verdicts} and {!merge_stats} over the job results (in any order)
     plus the splitter's own [fr_pruned] credit reproduces {!run}'s verdict
-    and exact credited schedule count; memo tables are private per job, so
-    only [memo_hits]/[nodes]-style effort counters may differ. *)
+    and exact credited schedule count. A memo table lives for one
+    {!run_subtrees} call, so only [memo_hits]/[nodes]-style effort counters
+    depend on how the jobs were grouped into calls. *)
 
 type subtree = {
   sj_id : int;
@@ -206,18 +209,18 @@ val split :
 (** Explore to [split_depth] (raises [Invalid_argument] unless
     [1 <= split_depth < depth], and as {!run} does) and emit the frontier.
     In [Every] mode the property is checked on every prefix up to the
-    frontier — {!run_subtree} accordingly replays a job's prefix without
+    frontier — {!run_subtrees} accordingly replays a job's prefix without
     re-checking it. [~mode], [~reduce] and the scenario must match between
-    [split] and the [run_subtree] calls that consume its jobs. *)
+    [split] and the [run_subtrees] calls that consume its jobs. *)
 
 val merge_frontier :
   pids:Pid.t list -> split_result -> (verdict * stats) list -> verdict * stats
 (** The fold every executor of {!split}'s jobs ends with: the splitter's
-    [fr_pruned] credit and [fr_stats], then one {!run_subtree} result per
+    [fr_pruned] credit and [fr_stats], then one {!run_subtrees} result per
     job in [sj_id] order, then the splitter's own [fr_cex]. Equals {!run}'s
     verdict and credited count for the same configuration. *)
 
-val run_subtree :
+val run_subtrees :
   ?memo:bool ->
   ?mode:mode ->
   ?reduce:reduction ->
@@ -226,15 +229,27 @@ val run_subtree :
   pids:Pid.t list ->
   depth:int ->
   prop:(Runtime.t -> bool) ->
-  subtree ->
-  verdict * stats
-(** Run one frontier job to the full [depth] (the same [depth] given to
-    {!split}): the prefix is replayed check-free, then the DFS expands
-    the subtree from the job's seeded context with a private memo. [Ok n]
-    is the subtree's exact credited schedule count; a counterexample is the
-    full schedule (prefix included) and is the lex-least within the subtree.
-    [?cancel] as in {!run}. Raises [Invalid_argument] as {!run} does, and
-    on a job inconsistent with [~pids]/[~depth]/[~reduce]. *)
+  subtree list ->
+  (subtree -> verdict * stats -> unit) ->
+  unit
+(** Run frontier jobs of one {!split}, in the given order, each to the full
+    [depth] (the same [depth] given to {!split}), and pass each job's
+    result to the callback as soon as that job ends. A job's prefix is
+    replayed check-free, then the DFS expands the subtree from the job's
+    seeded context. [Ok n] is the subtree's exact credited schedule count;
+    a counterexample is the full schedule (prefix included) and is the
+    lex-least within the subtree.
+
+    One memo table ([?memo], default [true]) is created when the call
+    starts and serves every job of it, then is dropped: a job's subtree
+    skips the states earlier jobs verified, as a branch of {!run} skips
+    those of earlier branches, so running all of a split's jobs in one
+    call explores about as many nodes as {!run}. Verdicts and counts do
+    not depend on the grouping; only effort counters do.
+
+    [?cancel] as in {!run}: the jobs reported before it fired stand.
+    Raises [Invalid_argument] before exploring as {!run} does, and when a
+    job is inconsistent with [~pids]/[~depth]/[~reduce]. *)
 
 val schedule_json : Pid.t list -> Obs.Json.t
 val schedule_of_json : Obs.Json.t -> (Pid.t list, string) result
@@ -249,7 +264,7 @@ val subtree_json : subtree -> Obs.Json.t
 val subtree_of_json : Obs.Json.t -> (subtree, string) result
 (** Wire format for the [subtree] service verb: pids as {!Pid.to_string}
     names ([p1], [q2], ...). [subtree_of_json] validates shape only; full
-    consistency against the scenario is checked by {!run_subtree}. *)
+    consistency against the scenario is checked by {!run_subtrees}. *)
 
 val run_replay :
   ?mode:mode ->

@@ -229,20 +229,22 @@ let subtree ~cancel params =
       | Error msg -> bad "%s" msg)
   in
   let reduce = Mcheck.Scenario.reduction sc ~reduce in
+  let reply = ref J.Null in
   match
-    Exhaustive.run_subtree ?reduce ~cancel ~build:sc.Mcheck.Scenario.sc_build
+    Exhaustive.run_subtrees ?reduce ~cancel ~build:sc.Mcheck.Scenario.sc_build
       ~pids:sc.Mcheck.Scenario.sc_pids ~depth ~prop:sc.Mcheck.Scenario.sc_prop
-      sj
+      [ sj ] (fun sj (verdict, stats) ->
+        (* the reply is a checkpoint record's done entry, byte for byte *)
+        reply :=
+          Ckpt.Record.done_json
+            {
+              Ckpt.Record.dj_id = sj.Exhaustive.sj_id;
+              dj_verdict = verdict;
+              dj_stats = stats;
+            })
   with
   | exception Invalid_argument msg -> bad "%s" msg
-  | verdict, stats ->
-    (* the reply is a checkpoint record's done entry, byte for byte *)
-    Ckpt.Record.done_json
-      {
-        Ckpt.Record.dj_id = sj.Exhaustive.sj_id;
-        dj_verdict = verdict;
-        dj_stats = stats;
-      }
+  | () -> !reply
 
 let fuzz ~cancel params =
   let kind = str_param ~default:"strong-renaming" "kind" params in

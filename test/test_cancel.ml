@@ -164,7 +164,7 @@ let test_parallel_cancel () =
     (List.for_all
        (fun sj ->
          match
-           Exhaustive.run_subtree
+           Test_exhaustive.run_job
              ~cancel:(fun () -> true)
              ~build:sa_build ~pids ~depth:8 ~prop:sa_prop sj
          with

@@ -319,9 +319,10 @@ let scenario name ~n_s =
 
 let verdict_str = Test_exhaustive.verdict_str
 
-(* Every per-job integer stat is deterministic, so a partitioned run's
-   merged stats are too: a resumed run must match an uninterrupted one on
-   everything but [wall_s]. *)
+(* The integer stats of a partitioned run are a deterministic function of
+   its jobs and how they are grouped into memo-sharing calls, so two runs
+   that answer the same jobs the same way agree on everything but
+   [wall_s]. *)
 let stats_str st =
   J.to_string (Exhaustive.stats_json { st with Exhaustive.wall_s = 0. })
 
@@ -363,12 +364,13 @@ let save_record store r =
   | Ok _ -> ()
   | Error e -> Alcotest.failf "save: %s" e
 
-(* An uninterrupted run's verdict and stats, plus a record holding only
-   the first half of its answered jobs — the state a run killed half-way
+(* An uninterrupted run's verdict and stats ([run store case] journals
+   into [store]; a local run by default), plus a record holding only the
+   first half of its answered jobs — the state a run killed half-way
    leaves behind. *)
-let half_done case =
+let half_done ?(run = fun store case -> local_run store case) case =
   with_store (fun store ->
-      let verdict, stats = local_run store case in
+      let verdict, stats = run store case in
       let full = load_record store in
       let total = full.Ckpt.Record.ck_total in
       let half =
@@ -392,26 +394,34 @@ let test_local_matches_run () =
             (verdict_str verdict)))
     engine_cases
 
+(* The resumed half runs in one memo-sharing call of its own, so its
+   effort counters differ from the uninterrupted run's; they are the same
+   for every resume of the same record. *)
 let test_local_resume_half () =
   List.iter
     (fun case ->
-      let verdict, stats, half = half_done case in
-      with_store (fun store ->
-          save_record store half;
-          match Ckpt.Local.resume ~interval_s:0. ~store () with
-          | Error e -> Alcotest.failf "%s: resume: %s" (case_label case) e
-          | Ok (config, verdict', stats') ->
-            check_bool "config from the record" true
-              (config = half.Ckpt.Record.ck_config);
-            Alcotest.(check string)
-              (case_label case ^ " verdict")
-              (verdict_str verdict) (verdict_str verdict');
-            Alcotest.(check string)
-              (case_label case ^ " stats")
-              (stats_str stats) (stats_str stats');
-            check_int "the final record answers every job"
-              half.Ckpt.Record.ck_total
-              (List.length (load_record store).Ckpt.Record.ck_done)))
+      let verdict, _, half = half_done case in
+      let resume () =
+        with_store (fun store ->
+            save_record store half;
+            match Ckpt.Local.resume ~interval_s:0. ~store () with
+            | Error e -> Alcotest.failf "%s: resume: %s" (case_label case) e
+            | Ok (config, verdict', stats') ->
+              check_bool "config from the record" true
+                (config = half.Ckpt.Record.ck_config);
+              Alcotest.(check string)
+                (case_label case ^ " verdict")
+                (verdict_str verdict) (verdict_str verdict');
+              check_int "the final record answers every job"
+                half.Ckpt.Record.ck_total
+                (List.length (load_record store).Ckpt.Record.ck_done);
+              stats')
+      in
+      let stats = resume () in
+      Alcotest.(check string)
+        (case_label case ^ " stats of two resumes")
+        (stats_str stats)
+        (stats_str (resume ())))
     engine_cases
 
 (* A record the frontier cannot have produced is refused, not merged. *)
@@ -446,15 +456,25 @@ let test_local_resume_rejects () =
 
 (* A deadline that fires mid-run persists the answered jobs before the
    exception surfaces; resuming that store finishes with the uninterrupted
-   answer. The interval is long, so only the cancel path journals them. *)
+   answer. The interval is long, so only the cancel path journals them.
+   The hook fires after half the polls of an uncancelled run, so it lands
+   mid-run whatever the engine's per-run effort. *)
 let test_local_cancel_resumes () =
   let case = ("safe-agreement", 2, 6, false) in
-  let verdict, stats, _ = half_done case in
+  let full_polls = ref 0 in
+  let verdict, _ =
+    with_store (fun store ->
+        local_run
+          ~cancel:(fun () ->
+            incr full_polls;
+            false)
+          store case)
+  in
   with_store (fun store ->
       let polls = ref 0 in
       let cancel () =
         incr polls;
-        !polls > 1500
+        !polls > !full_polls / 2
       in
       (match local_run ~cancel ~interval_s:3600. store case with
       | exception Exhaustive.Cancelled -> ()
@@ -463,12 +483,22 @@ let test_local_cancel_resumes () =
       check_bool "progress persisted on cancel" true
         (saved.Ckpt.Record.ck_done <> []
         && List.length saved.Ckpt.Record.ck_done < saved.Ckpt.Record.ck_total);
-      match Ckpt.Local.resume ~store () with
-      | Error e -> Alcotest.failf "resume: %s" e
-      | Ok (_, verdict', stats') ->
-        Alcotest.(check string) "verdict" (verdict_str verdict)
-          (verdict_str verdict');
-        Alcotest.(check string) "stats" (stats_str stats) (stats_str stats'))
+      let resume store =
+        match Ckpt.Local.resume ~store () with
+        | Error e -> Alcotest.failf "resume: %s" e
+        | Ok (_, verdict', stats') ->
+          Alcotest.(check string) "verdict" (verdict_str verdict)
+            (verdict_str verdict');
+          stats'
+      in
+      let again =
+        with_store (fun store' ->
+            save_record store' saved;
+            resume store')
+      in
+      Alcotest.(check string) "stats of two resumes"
+        (stats_str (resume store))
+        (stats_str again))
 
 (* The journal rule every executor follows. A store that cannot take the
    first generation fails the run before any job runs. A store that

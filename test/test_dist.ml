@@ -167,7 +167,7 @@ let test_merge_frontier_matches_reference () =
           in
           let v, s =
             List.map
-              (Exhaustive.run_subtree ?reduce ~build ~pids ~depth ~prop)
+              (Test_exhaustive.run_job ?reduce ~build ~pids ~depth ~prop)
               fr.Exhaustive.fr_jobs
             |> Exhaustive.merge_frontier ~pids fr
           in
@@ -354,7 +354,7 @@ let prop_partition_counts =
   let results =
     List.map
       (fun sj ->
-        fst (Exhaustive.run_subtree ~build ~pids ~depth ~prop:sa_prop sj))
+        fst (Test_exhaustive.run_job ~build ~pids ~depth ~prop:sa_prop sj))
       fr.Exhaustive.fr_jobs
   in
   QCheck.Test.make ~name:"random partitions merge to the exact count"
@@ -497,13 +497,26 @@ let fleet_resume ~workers ~store (r : Ckpt.Record.t) =
     Ckpt.Frontier.resume ~store ~interval_s:0. loaded (fleet workers)
     |> Result.map (fun o -> (o.Ckpt.Frontier.verdict, o.Ckpt.Frontier.stats))
 
+(* The reference is the fleet's own uninterrupted run: a worker answers
+   each job in a call of its own, so per-job results are functions of the
+   job alone and the merged integer stats cannot depend on which half came
+   from the record. *)
 let test_coordinator_resumes_half () =
   with_tcp_workers 2 (fun servers ->
       let workers = List.map snd servers in
+      let fleet_run store (name, n_s, depth, reduce) =
+        match
+          Ckpt.Frontier.run ~journal:(store, 0.) ~reduce
+            ~scenario:(Test_ckpt.scenario name ~n_s)
+            ~depth (fleet workers)
+        with
+        | Ok o -> (o.Ckpt.Frontier.verdict, o.Ckpt.Frontier.stats)
+        | Error e -> Alcotest.failf "fleet run: %s" e
+      in
       List.iter
         (fun case ->
           let label = Test_ckpt.case_label case in
-          let verdict, stats, half = Test_ckpt.half_done case in
+          let verdict, stats, half = Test_ckpt.half_done ~run:fleet_run case in
           Test_ckpt.with_store (fun store ->
               match fleet_resume ~workers ~store half with
               | Error e -> Alcotest.failf "%s: %s" label e

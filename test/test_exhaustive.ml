@@ -267,10 +267,18 @@ let test_engines_agree_on_violation () =
         (verdict_str v))
     [ false; true ]
 
+(* One frontier job through its own [run_subtrees] call, hence its own
+   memo table — how a fleet worker answers a [subtree] request. *)
+let run_job ?memo ?mode ?reduce ?cancel ~build ~pids ~depth ~prop sj =
+  let result = ref None in
+  Exhaustive.run_subtrees ?memo ?mode ?reduce ?cancel ~build ~pids ~depth
+    ~prop [ sj ] (fun _ r -> result := Some r);
+  Option.get !result
+
 (* The frontier pipeline, in-process: split at [split_depth], run every job
-   through [run_subtree], fold the merge monoids over the results in
-   [order], starting from the splitter's own credit and counterexample. This
-   is how the search is sharded across workers, so every sharded executor
+   through [run_job], fold the merge monoids over the results in [order],
+   starting from the splitter's own credit and counterexample. This is how
+   the search is sharded across workers, so every sharded executor
    (checkpointed runs, TCP fleets) must agree with it. *)
 let frontier_run ?(memo = true) ?reduce ?(mode = Exhaustive.Every)
     ?(order = Fun.id) ~build ~pids ~depth ~split_depth ~prop () =
@@ -280,8 +288,7 @@ let frontier_run ?(memo = true) ?reduce ?(mode = Exhaustive.Every)
   let results =
     List.map
       (fun sj ->
-        Exhaustive.run_subtree ~memo ~mode ?reduce ~build ~pids ~depth ~prop
-          sj)
+        run_job ~memo ~mode ?reduce ~build ~pids ~depth ~prop sj)
       fr.Exhaustive.fr_jobs
   in
   let verdict =
@@ -363,8 +370,9 @@ let test_count_overflow_rejected () =
       Exhaustive.run ~reduce ~build ~pids ~depth:41 ~prop ());
   rejected "split" (fun () ->
       Exhaustive.split ~build ~pids ~depth:41 ~split_depth:2 ~prop ());
-  rejected "run_subtree" (fun () ->
-      Exhaustive.run_subtree ~build ~pids ~depth:41 ~prop job);
+  rejected "run_subtrees" (fun () ->
+      Exhaustive.run_subtrees ~build ~pids ~depth:41 ~prop [ job ]
+        (fun _ _ -> ()));
   rejected "run_replay" (fun () ->
       Exhaustive.run_replay ~build ~pids ~depth:41 ~prop ());
   Alcotest.(check int) "no runtime built" 0 !built;
