@@ -5,7 +5,7 @@
     the coordinator and every worker call {!find} with the same name and
     parameters and must mean the same thing by it — same builder, same
     property, same pid order, same symmetry classes — or the frontier
-    merge identity ([split + run_subtree + merge = run]) silently breaks.
+    merge identity ([split + run_subtrees + merge = run]) silently breaks.
     Keeping the builders here (rather than duplicated in [bin/wfa] and
     [lib/svc]) is what makes that agreement a fact of the build instead
     of a convention. *)
