@@ -36,12 +36,16 @@ let codec_of_byte = function
 
 let codec_string = function Json -> "json" | Binary -> "binary"
 
+(* A [for] loop, not [String.iter]: a closure would capture [h] and box an
+   [Int64] per byte; here the compiler keeps it unboxed. *)
 let fnv64 s =
   let h = ref 0xcbf29ce484222325L in
-  String.iter
-    (fun c ->
-      h := Int64.mul (Int64.logxor !h (Int64.of_int (Char.code c))) 0x100000001b3L)
-    s;
+  for i = 0 to String.length s - 1 do
+    h :=
+      Int64.mul
+        (Int64.logxor !h (Int64.of_int (Char.code (String.unsafe_get s i))))
+        0x100000001b3L
+  done;
   !h
 
 let gen_name g = Printf.sprintf "gen-%06d.ckpt" g
@@ -161,7 +165,7 @@ let encode_generation codec value =
 (* Prune synchronously after a successful save: unlink is cheap, and doing
    it here (rather than on a timer) keeps the store's invariant — at most
    [keep] generations plus whatever an in-progress crash left — local to
-   one function. The manifest always names a surviving generation. *)
+   one function. *)
 let prune t =
   let gens = List.rev (scan_generations t.dir) in
   List.iteri
@@ -169,28 +173,6 @@ let prune t =
       if i >= t.keep then
         try Sys.remove (generation_path t g) with Sys_error _ -> ())
     gens
-
-let manifest_name = "MANIFEST"
-
-(* The manifest is advisory — [load] scans and validates generation files
-   directly and never reads it — so it is renamed into place atomically but
-   not fsynced: losing it to a crash costs nothing, and skipping the two
-   syncs halves the per-generation journal cost. *)
-let write_manifest t gen =
-  let tmp = Filename.concat t.dir ("tmp-" ^ manifest_name) in
-  let contents =
-    J.to_string (J.Obj [ ("v", J.Int 1); ("current", J.Int gen) ])
-  in
-  match
-    let oc = open_out_bin tmp in
-    Fun.protect
-      ~finally:(fun () -> close_out_noerr oc)
-      (fun () -> output_string oc contents);
-    Unix.rename tmp (Filename.concat t.dir manifest_name)
-  with
-  | () -> ()
-  | exception (Sys_error _ | Unix.Unix_error _) -> (
-    try Unix.unlink tmp with Unix.Unix_error _ | Sys_error _ -> ())
 
 let save t value =
   let gen = t.next_gen in
@@ -202,7 +184,6 @@ let save t value =
         [ ("gen", J.Int gen); ("error", J.Str msg) ];
       e
   | Ok () ->
-      write_manifest t gen;
       t.next_gen <- gen + 1;
       prune t;
       count t "ckpt.generations";

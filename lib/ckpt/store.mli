@@ -2,7 +2,8 @@
     checkpoint/resume (DESIGN.md §8).
 
     One store is one directory holding monotonically numbered generation
-    files [gen-NNNNNN.ckpt] plus a [MANIFEST] naming the newest. Every
+    files [gen-NNNNNN.ckpt] and nothing else: the newest is found by
+    scanning them, so no index file has to be kept in step. Every
     write is atomic and durable: the bytes go to a temp file in the same
     directory, are [fsync]ed, renamed over the final name, and the
     directory itself is [fsync]ed — a crash at any instant leaves either
