@@ -1694,8 +1694,9 @@ let dist_bench () =
     let workers =
       List.map (fun t -> Svc.Addr.to_string (Svc.Server.listen_addr t)) fleet
     in
-    (* best-of-3: one coordinator run is ~64 pipelined RPCs, so a single
-       descheduling blip distorts the rate *)
+    (* best-of-3: one coordinator run is 16 one-job RPCs (a reduced run
+       sends one job per request), so a single descheduling blip distorts
+       the rate *)
     let best = ref infinity and jobs = ref 0 and redisp = ref 0 in
     for _ = 1 to 3 do
       let sp = Obs.Span.start () in

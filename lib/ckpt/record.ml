@@ -92,6 +92,20 @@ let done_of_json j =
   let* stats = Result.bind (J.field "stats" j) Exhaustive.stats_of_json in
   Ok { dj_id = id; dj_verdict = verdict; dj_stats = stats }
 
+let dones_of_json j =
+  match J.member "done" j with
+  | Some (J.List items) ->
+    let rec go i acc = function
+      | [] -> Ok (List.rev acc)
+      | item :: rest -> (
+        match done_of_json item with
+        | Ok d -> go (i + 1) (d :: acc) rest
+        | Error msg -> Error (Printf.sprintf "done[%d]: %s" i msg))
+    in
+    go 0 [] items
+  | Some _ -> Error "field \"done\" is not a list"
+  | None -> Error "missing field \"done\""
+
 let of_json j =
   match j with
   | J.Obj _ -> (
@@ -103,20 +117,7 @@ let of_json j =
     in
     let* config = Result.bind (J.field "config" j) config_of_json in
     let* total = J.int_field "total" j in
-    let* done_ =
-      match J.member "done" j with
-      | Some (J.List items) ->
-        let rec go i acc = function
-          | [] -> Ok (List.rev acc)
-          | item :: rest -> (
-            match done_of_json item with
-            | Ok d -> go (i + 1) (d :: acc) rest
-            | Error msg -> Error (Printf.sprintf "done[%d]: %s" i msg))
-        in
-        go 0 [] items
-      | Some _ -> Error "field \"done\" is not a list"
-      | None -> Error "missing field \"done\""
-    in
+    let* done_ = dones_of_json j in
     if total < 0 then Error "field \"total\" must be >= 0"
     else
       match make ~config ~total ~done_ with

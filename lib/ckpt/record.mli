@@ -44,5 +44,9 @@ val done_of_json : Obs.Json.t -> (done_job, string) result
     counterexample) and [stats]. [done_of_json] needs [schedules] only on
     [ok], so entries written without it on counterexamples still load. *)
 
+val dones_of_json : Obs.Json.t -> (done_job list, string) result
+(** An object's [done] list, decoded in order: a record's answered jobs,
+    or the [subtree] verb's reply, one entry per job of its range. *)
+
 val equal : t -> t -> bool
 (** Structural, [wall_s] included — for round-trip tests. *)

@@ -21,11 +21,10 @@ type shared = {
   mutex : Mutex.t;
   cond : Condition.t;
   sink : Obs.Sink.t option;
-  pending : Exhaustive.subtree Queue.t;
-  unanswered : (int, Exhaustive.subtree) Hashtbl.t;
-  inflight : (int, int) Hashtbl.t;  (* active dispatch count per job id *)
+  pending : Exhaustive.subtree list Queue.t;  (* ranges nobody is running *)
+  mutable left : int;  (* jobs without an accepted result *)
+  mutable failed : string option;  (* an error every retry would repeat *)
   report : int -> Exhaustive.verdict * Exhaustive.stats -> bool;
-  window : int;
   mutable redispatched : int;
 }
 
@@ -38,85 +37,75 @@ let locked st f =
   Mutex.lock st.mutex;
   Fun.protect ~finally:(fun () -> Mutex.unlock st.mutex) f
 
-let done_ st = Hashtbl.length st.unanswered = 0
-let inflight_of st id = Option.value ~default:0 (Hashtbl.find_opt st.inflight id)
+(* Most jobs in one request: at the ~100-200 bytes a job takes on the
+   wire, a range's request stays well inside a server's default 1 MiB
+   frame limit, whatever the split depth. *)
+let max_range = 2048
 
-(* Re-issue a job whose dispatch came to nothing (worker died, server-side
-   error). Only when no other dispatch is still running it — a surviving
-   duplicate may yet answer. *)
-let requeue st ~reason sj =
-  let id = sj.Exhaustive.sj_id in
-  if Hashtbl.mem st.unanswered id && inflight_of st id = 0 then begin
-    Queue.push sj st.pending;
-    st.redispatched <- st.redispatched + 1;
-    emit st Obs.Event.Name.dist_redispatch
-      [ ("job", J.Int id); ("reason", J.Str reason) ];
-    Condition.broadcast st.cond
-  end
+(* [todo] cut into contiguous ranges, one per worker unless that breaks
+   [max_range], with sizes differing by at most one job: the jobs of a
+   range share the worker's memo table. *)
+let cut workers todo =
+  let len = List.length todo in
+  let n = max workers ((len + max_range - 1) / max_range) in
+  let rec go i rest =
+    if i = n || rest = [] then []
+    else
+      let size = (len / n) + if i < len mod n then 1 else 0 in
+      List.filteri (fun j _ -> j < size) rest
+      :: go (i + 1) (List.filteri (fun j _ -> j >= size) rest)
+  in
+  go 0 todo
 
-let drop_inflight st id =
-  match inflight_of st id with
-  | 0 -> ()
-  | 1 -> Hashtbl.remove st.inflight id
-  | n -> Hashtbl.replace st.inflight id (n - 1)
+(* A range whose request came to nothing goes back whole, for any worker. *)
+let requeue st ~reason range =
+  Queue.push range st.pending;
+  st.redispatched <- st.redispatched + List.length range;
+  List.iter
+    (fun sj ->
+      emit st Obs.Event.Name.dist_redispatch
+        [ ("job", J.Int sj.Exhaustive.sj_id); ("reason", J.Str reason) ])
+    range;
+  Condition.broadcast st.cond
 
-(* An idle worker with an empty pending queue duplicates the least-covered
-   unfinished job of another worker — straggler insurance; first result
-   wins. [attempted] bounds it: a worker never steals the same job twice,
-   so total dispatches stay <= jobs * workers. *)
-let steal_candidate st attempted =
-  Hashtbl.fold
-    (fun id sj best ->
-      if Hashtbl.mem attempted id then best
-      else
-        match best with
-        | Some (_, n) when n <= inflight_of st id -> best
-        | _ -> Some (sj, inflight_of st id))
-    st.unanswered None
-
-(* Called with the lock held; returns the next pipelined batch, [] when the
-   run is complete (or nothing is left that this worker may take). *)
-let rec take_batch st attempted acc =
-  if done_ st then List.rev acc
-  else if List.length acc >= st.window then List.rev acc
+(* Called with the lock held: the next range, [None] once every job is
+   answered or the run has failed. An empty queue with jobs left means
+   another worker runs them: wait for its result or its requeue. *)
+let rec take st =
+  if st.left = 0 || st.failed <> None then None
   else
     match Queue.take_opt st.pending with
-    | Some sj when not (Hashtbl.mem st.unanswered sj.Exhaustive.sj_id) ->
-      take_batch st attempted acc (* stale requeue; already answered *)
-    | Some sj -> take_batch st attempted (sj :: acc)
-    | None -> (
-      if acc <> [] then List.rev acc
-      else
-        match steal_candidate st attempted with
-        | Some (sj, _) ->
-          st.redispatched <- st.redispatched + 1;
-          emit st Obs.Event.Name.dist_redispatch
-            [ ("job", J.Int sj.Exhaustive.sj_id); ("reason", J.Str "steal") ];
-          [ sj ]
-        | None ->
-          (* everything unfinished is in flight and already tried here:
-             wait for a result, a requeue, or completion *)
-          Condition.wait st.cond st.mutex;
-          take_batch st attempted acc)
+    | Some _ as next -> next
+    | None ->
+      Condition.wait st.cond st.mutex;
+      take st
 
-let job_params config sj =
+let range_params config range =
   J.Obj
     [
       ("scenario", J.Str config.Ckpt.Record.cf_scenario);
       ("n_s", J.Int config.Ckpt.Record.cf_n_s);
       ("depth", J.Int config.Ckpt.Record.cf_depth);
       ("reduce", J.Bool config.Ckpt.Record.cf_reduce);
-      ("job", Exhaustive.subtree_json sj);
+      ("jobs", J.List (List.map Exhaustive.subtree_json range));
     ]
 
-(* One worker thread: connect, then loop pipelined batches until the run
-   completes or the connection dies. A dead connection requeues whatever
-   it still owed and retires the thread — the jobs live on elsewhere. *)
+(* The reply's [done] entries: one per job of [range], in its order. *)
+let decode range json =
+  Result.bind (Ckpt.Record.dones_of_json json) (fun ds ->
+      if
+        List.map (fun d -> d.Ckpt.Record.dj_id) ds
+        = List.map (fun sj -> sj.Exhaustive.sj_id) range
+      then Ok ds
+      else Error "\"done\" ids are not the range's")
+
+(* One worker thread: connect, then run one range at a time until the run
+   completes, fails or the connection dies. A dead connection requeues the
+   range it owed and retires the thread — the jobs live on elsewhere. *)
 let worker_loop st ~config ~deadline_ms ~retries ~backoff_ms ~accepted ~dead
     w addr =
-  let attempted = Hashtbl.create 64 in
   let wname = Printf.sprintf "%d:%s" w addr in
-  let die client outstanding why =
+  let die client range why =
     Option.iter Svc.Client.close client;
     locked st (fun () ->
         dead.(w) <- true;
@@ -124,13 +113,9 @@ let worker_loop st ~config ~deadline_ms ~retries ~backoff_ms ~accepted ~dead
           [
             ("worker", J.Str wname);
             ("error", J.Str why);
-            ("requeued", J.Int (Hashtbl.length outstanding));
+            ("requeued", J.Int (List.length range));
           ];
-        Hashtbl.iter
-          (fun _ sj ->
-            drop_inflight st sj.Exhaustive.sj_id;
-            requeue st ~reason:"worker_dead" sj)
-          outstanding;
+        if range <> [] then requeue st ~reason:"worker_dead" range;
         Condition.broadcast st.cond)
   in
   (* workers get the binary codec when they speak it — subtree results are
@@ -140,107 +125,92 @@ let worker_loop st ~config ~deadline_ms ~retries ~backoff_ms ~accepted ~dead
       addr
   with
   | exception e ->
-    die None (Hashtbl.create 0)
+    die None []
       (match e with
       | Unix.Unix_error (err, _, _) -> Unix.error_message err
       | e -> Printexc.to_string e)
   | client -> (
-    let outstanding = Hashtbl.create 8 in
-    let settle sj result =
+    let owed = ref [] in
+    let settle ds =
       locked st (fun () ->
-          let id = sj.Exhaustive.sj_id in
-          drop_inflight st id;
-          (match result with
-          | Ok { Ckpt.Record.dj_verdict = v; dj_stats; _ } ->
-            (* the driver keeps the first result per id and journals it *)
-            if st.report id (v, dj_stats) then begin
-              Hashtbl.remove st.unanswered id;
-              accepted.(w) <- accepted.(w) + 1;
-              emit st Obs.Event.Name.dist_result
-                [
-                  ("job", J.Int id);
-                  ("worker", J.Str wname);
-                  ( "verdict",
-                    J.Str
-                      (match v with
-                      | Exhaustive.Ok _ -> "ok"
-                      | Exhaustive.Counterexample _ -> "counterexample") );
-                ]
-            end
-          | Error reason -> requeue st ~reason sj);
+          List.iter
+            (fun { Ckpt.Record.dj_id = id; dj_verdict = v; dj_stats } ->
+              (* the driver keeps the first result per id and journals it *)
+              if st.report id (v, dj_stats) then begin
+                st.left <- st.left - 1;
+                accepted.(w) <- accepted.(w) + 1;
+                emit st Obs.Event.Name.dist_result
+                  [
+                    ("job", J.Int id);
+                    ("worker", J.Str wname);
+                    ( "verdict",
+                      J.Str
+                        (match v with
+                        | Exhaustive.Ok _ -> "ok"
+                        | Exhaustive.Counterexample _ -> "counterexample") );
+                  ]
+              end)
+            ds;
+          owed := [];
           Condition.broadcast st.cond)
     in
     let rec serve () =
-      let batch =
+      let next =
         locked st (fun () ->
-            let batch = take_batch st attempted [] in
-            List.iter
-              (fun sj ->
-                let id = sj.Exhaustive.sj_id in
-                Hashtbl.replace st.inflight id (inflight_of st id + 1);
-                Hashtbl.replace attempted id ();
-                emit st Obs.Event.Name.dist_dispatch
-                  [ ("job", J.Int id); ("worker", J.Str wname) ])
-              batch;
-            batch)
+            let next = take st in
+            Option.iter
+              (List.iter (fun sj ->
+                   emit st Obs.Event.Name.dist_dispatch
+                     [
+                       ("job", J.Int sj.Exhaustive.sj_id);
+                       ("worker", J.Str wname);
+                     ]))
+              next;
+            next)
       in
-      if batch = [] then Svc.Client.close client
-      else
-        let rec send_all = function
-          | [] -> true
-          | sj :: rest -> (
-            match
-              Svc.Client.send ?deadline_ms
-                ~params:(job_params config sj)
-                client P.Subtree
-            with
-            | Ok rid ->
-              Hashtbl.replace outstanding rid sj;
-              send_all rest
-            | Error _ ->
-              (* the write failed, so neither this job nor the rest of the
-                 batch was ever on the wire — hand them all back *)
-              locked st (fun () ->
-                  List.iter
-                    (fun sj ->
-                      drop_inflight st sj.Exhaustive.sj_id;
-                      requeue st ~reason:"send_failed" sj)
-                    (sj :: rest);
-                  Condition.broadcast st.cond);
-              false)
-        in
-        if not (send_all batch) then
-          die (Some client) outstanding "send failed"
-        else
-          let rec drain () =
-            if Hashtbl.length outstanding = 0 then serve ()
-            else
-              match Svc.Client.recv client with
-              | Error e -> die (Some client) outstanding (Svc.Client.error_string e)
-              | Ok (rid, payload) -> (
-                match Hashtbl.find_opt outstanding rid with
-                | None ->
-                  die (Some client) outstanding
-                    (Printf.sprintf "response for unknown request id %d" rid)
-                | Some sj ->
-                  Hashtbl.remove outstanding rid;
-                  settle sj
-                    (match payload with
-                    | Ok json ->
-                      Result.map_error (( ^ ) "bad result: ")
-                        (Ckpt.Record.done_of_json json)
-                    | Error (Svc.Client.Server (code, _)) ->
-                      Error (P.err_code_string code)
-                    | Error (Svc.Client.Transport msg) -> Error msg);
-                  drain ())
-          in
-          drain ()
+      match next with
+      | None -> Svc.Client.close client
+      | Some range -> (
+        owed := range;
+        match
+          Svc.Client.call ?deadline_ms ~params:(range_params config range)
+            client P.Subtree
+        with
+        | Ok json -> (
+          match decode range json with
+          | Ok ds ->
+            settle ds;
+            serve ()
+          | Error msg -> die (Some client) range ("bad result: " ^ msg))
+        | Error (Svc.Client.Transport msg) -> die (Some client) range msg
+        | Error
+            (Svc.Client.Server (((P.Overloaded | P.Shutting_down) as code), _))
+          ->
+          (* the server may take the range later, or another will *)
+          locked st (fun () ->
+              requeue st ~reason:(P.err_code_string code) range);
+          owed := [];
+          Thread.delay (float_of_int backoff_ms /. 1000.);
+          serve ()
+        | Error (Svc.Client.Server (code, msg)) ->
+          (* a deadline, a rejected request or a crashed handler recurs on
+             every retry: requeueing it would never end the run *)
+          let ids = List.map (fun sj -> sj.Exhaustive.sj_id) range in
+          locked st (fun () ->
+              if st.failed = None then
+                st.failed <-
+                  Some
+                    (Printf.sprintf "worker %s: %s on %d jobs, ids %d..%d: %s"
+                       wname (P.err_code_string code) (List.length ids)
+                       (List.hd ids)
+                       (List.hd (List.rev ids))
+                       msg);
+              Condition.broadcast st.cond);
+          Svc.Client.close client)
     in
-    try serve ()
-    with e -> die (Some client) outstanding (Printexc.to_string e))
+    try serve () with e -> die (Some client) !owed (Printexc.to_string e))
 
-let executor ?sink ?(retries = 5) ?(backoff_ms = 50) ?deadline_ms
-    ?(window = 4) workers =
+let executor ?sink ?(retries = 5) ?(backoff_ms = 50) ?deadline_ms workers =
   match
     List.find_map
       (fun a ->
@@ -255,19 +225,22 @@ let executor ?sink ?(retries = 5) ?(backoff_ms = 50) ?deadline_ms
     Ok
       (fun _sc config fr ~todo ~report ->
         let total = List.length fr.Exhaustive.fr_jobs in
+        let n = List.length workers in
+        (* a reduced search takes no memo hits, so a range would share
+           nothing and only unbalance the workers *)
+        let ranges =
+          if config.Ckpt.Record.cf_reduce then List.map (fun sj -> [ sj ]) todo
+          else cut n todo
+        in
         let st =
           {
             mutex = Mutex.create ();
             cond = Condition.create ();
             sink;
-            pending = Queue.of_seq (List.to_seq todo);
-            unanswered =
-              Hashtbl.of_seq
-                (List.to_seq todo
-                |> Seq.map (fun sj -> (sj.Exhaustive.sj_id, sj)));
-            inflight = Hashtbl.create 16;
+            pending = Queue.of_seq (List.to_seq ranges);
+            left = List.length todo;
+            failed = None;
             report;
-            window = max 1 window;
             redispatched = 0;
           }
         in
@@ -277,7 +250,6 @@ let executor ?sink ?(retries = 5) ?(backoff_ms = 50) ?deadline_ms
             ("split_depth", J.Int config.Ckpt.Record.cf_split_depth);
             ("pruned", J.Int fr.Exhaustive.fr_pruned);
           ];
-        let n = List.length workers in
         let accepted = Array.make n 0 and dead = Array.make n false in
         List.mapi
           (fun w addr ->
@@ -288,8 +260,10 @@ let executor ?sink ?(retries = 5) ?(backoff_ms = 50) ?deadline_ms
               ())
           workers
         |> List.iter Thread.join;
-        if not (done_ st) then Error "every worker failed"
-        else
+        match st.failed with
+        | Some msg -> Error msg
+        | None when st.left > 0 -> Error "every worker failed"
+        | None ->
           let workers =
             List.mapi
               (fun w addr ->
@@ -307,10 +281,10 @@ let executor ?sink ?(retries = 5) ?(backoff_ms = 50) ?deadline_ms
             ];
           Ok { redispatched = st.redispatched; workers })
 
-let run ?sink ?(reduce = false) ?retries ?backoff_ms ?deadline_ms ?window
-    ~scenario ~depth ~workers () =
+let run ?sink ?(reduce = false) ?retries ?backoff_ms ?deadline_ms ~scenario
+    ~depth ~workers () =
   Result.bind
-    (executor ?sink ?retries ?backoff_ms ?deadline_ms ?window workers)
+    (executor ?sink ?retries ?backoff_ms ?deadline_ms workers)
     (Ckpt.Frontier.run ~reduce ~scenario ~depth)
   |> Result.map (fun (o : fleet Ckpt.Frontier.outcome) ->
          {

@@ -1,27 +1,35 @@
 (** The fleet executor of {!Ckpt.Frontier}: subtree jobs fanned out over
-    job servers (DESIGN.md §6). Each job goes to a worker as a [subtree]
-    request ({!Svc.Protocol}), pipelined over one connection per worker,
-    and each reply goes to the driver's [report] under one mutex; the
-    driver keeps the first result per job id, so verdict, count and
-    lex-least counterexample are the single-process run's, whatever the
-    arrival order. Fault handling:
-    - a failed connection (connect, send or receive) requeues the jobs its
-      worker still owed and retires it; the others absorb them;
-    - a server-side error reply ([deadline_exceeded], [overloaded], ...)
-      requeues that one job;
-    - an idle worker with an empty queue {e steals} the least-covered
-      in-flight job of another, never the same job twice.
+    job servers (DESIGN.md §6). The [todo] jobs are cut once, in order,
+    into one contiguous range per worker (more when a range would pass
+    2,048 jobs, so a request fits a server's default frame limit), with
+    sizes differing by at most one job; a reduced run ([cf_reduce]) takes
+    one job per range instead, since a reduced search never hits its
+    memo. A worker has one request in flight: one range as a single
+    [subtree] request ({!Svc.Protocol}), which the server runs
+    in one {!Simkit.Exhaustive.run_subtrees} call, so the jobs of a range
+    share one memo table. Each reply's results go to the driver's
+    [report] under one mutex; verdict, count and lex-least counterexample
+    are the single-process run's, whatever the arrival order. Fault
+    handling:
+    - a failed connection (connect, send or receive) or an unreadable
+      reply requeues the range its worker owed, whole, and retires the
+      worker; the others absorb it;
+    - an [overloaded] or [shutting_down] reply requeues the range;
+    - any other error reply ([deadline_exceeded], [bad_request],
+      [internal], [oversized]) would recur on every retry, so it ends the
+      run with [Error] naming the code and the range's job ids.
 
-    The run fails only when every worker is dead and jobs remain. *)
+    No job is dispatched twice while a dispatch of it is alive. The run
+    fails when every worker is dead and jobs remain. *)
 
 type worker_report = {
   wk_addr : string;  (** the address as given ({!Svc.Addr} textual form) *)
-  wk_jobs : int;  (** results accepted from this worker (duplicates lost) *)
+  wk_jobs : int;  (** results accepted from this worker *)
   wk_dead : bool;  (** its connection failed at some point *)
 }
 
 type fleet = {
-  redispatched : int;  (** re-issues: requeues after failures plus steals *)
+  redispatched : int;  (** jobs requeued after a failed request *)
   workers : worker_report list;
 }
 
@@ -40,15 +48,15 @@ val executor :
   ?retries:int ->
   ?backoff_ms:int ->
   ?deadline_ms:int ->
-  ?window:int ->
   string list ->
   (fleet Ckpt.Frontier.executor, string) result
 (** An executor over the given workers (each an {!Svc.Addr} in textual
     form). [retries]/[backoff_ms] (defaults 5/50) are per-worker
-    {!Svc.Client.connect} patience; [deadline_ms] rides on every subtree
-    request; [window] (default 4) is the per-connection pipelining depth.
-    [sink] receives the [dist.*] events ({!Obs.Event.Name}). [Error] when
-    the list is empty or an address does not parse. *)
+    {!Svc.Client.connect} patience, and [backoff_ms] is also the pause
+    after an [overloaded] or [shutting_down] reply; [deadline_ms] rides on
+    every subtree request, so it bounds a whole range. [sink] receives the
+    [dist.*] events ({!Obs.Event.Name}). [Error] when the list is empty or
+    an address does not parse. *)
 
 val run :
   ?sink:Obs.Sink.t ->
@@ -56,7 +64,6 @@ val run :
   ?retries:int ->
   ?backoff_ms:int ->
   ?deadline_ms:int ->
-  ?window:int ->
   scenario:Mcheck.Scenario.t ->
   depth:int ->
   workers:string list ->

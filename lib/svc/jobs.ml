@@ -212,39 +212,43 @@ let modelcheck ~cancel params =
           ~checkpoint:(Ckpt.Local.checkpoint_field store ~resumed)
           (verdict, stats))
 
-(* One frontier subtree of a distributed exhaustive search. The coordinator
-   ships the scenario by name plus the engine context ({!Exhaustive.subtree});
-   the verdict travels back with the job id so first-result-wins re-dispatch
-   can drop duplicates. *)
+(* A contiguous range of frontier subtrees of a distributed exhaustive
+   search, run as one [run_subtrees] call so its jobs share one memo
+   table; the table dies with the request. The coordinator ships the
+   scenario by name plus each job's engine context ({!Exhaustive.subtree});
+   the reply holds one checkpoint-record done entry per job, in order. *)
 let subtree ~cancel params =
   let depth = pos_param ~default:8 "depth" params in
   let reduce = bool_param ~default:false "reduce" params in
   let sc = scenario_param params in
-  let sj =
-    match J.member "job" params with
-    | None -> bad "missing param \"job\""
-    | Some j -> (
-      match Exhaustive.subtree_of_json j with
-      | Ok sj -> sj
-      | Error msg -> bad "%s" msg)
+  let jobs =
+    match J.member "jobs" params with
+    | Some (J.List (_ :: _ as items)) ->
+      List.map
+        (fun j ->
+          match Exhaustive.subtree_of_json j with
+          | Ok sj -> sj
+          | Error msg -> bad "%s" msg)
+        items
+    | _ -> bad "param \"jobs\" is not a non-empty list"
   in
   let reduce = Mcheck.Scenario.reduction sc ~reduce in
-  let reply = ref J.Null in
+  let done_ = ref [] in
   match
     Exhaustive.run_subtrees ?reduce ~cancel ~build:sc.Mcheck.Scenario.sc_build
       ~pids:sc.Mcheck.Scenario.sc_pids ~depth ~prop:sc.Mcheck.Scenario.sc_prop
-      [ sj ] (fun sj (verdict, stats) ->
-        (* the reply is a checkpoint record's done entry, byte for byte *)
-        reply :=
+      jobs (fun sj (verdict, stats) ->
+        done_ :=
           Ckpt.Record.done_json
             {
               Ckpt.Record.dj_id = sj.Exhaustive.sj_id;
               dj_verdict = verdict;
               dj_stats = stats;
-            })
+            }
+          :: !done_)
   with
   | exception Invalid_argument msg -> bad "%s" msg
-  | () -> !reply
+  | () -> J.Obj [ ("done", J.List (List.rev !done_)) ]
 
 let fuzz ~cancel params =
   let kind = str_param ~default:"strong-renaming" "kind" params in

@@ -26,7 +26,12 @@ type verb =
   | Metrics  (** {!Obs.Metrics} registry snapshot as JSON; answered inline *)
   | Solve  (** pool job: one safe-agreement instance *)
   | Modelcheck  (** pool job: exhaustive search over a named scenario *)
-  | Subtree  (** pool job: one frontier subtree ({!Simkit.Exhaustive.split}) *)
+  | Subtree
+      (** pool job: a contiguous range of frontier subtrees
+          ({!Simkit.Exhaustive.split}) as param [jobs], run in one
+          {!Simkit.Exhaustive.run_subtrees} call so they share one memo
+          table; the reply's [done] list holds one checkpoint-record done
+          entry per job, in order *)
   | Fuzz  (** pool job: randomized schedule search *)
   | Shutdown  (** begin graceful drain *)
   | Hello

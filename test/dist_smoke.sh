@@ -4,8 +4,8 @@
 # safe-agreement check through the coordinator and diff the mirrored result
 # fields against the single-process anchor (plain and --reduce), check the
 # race-false counterexample is the identical lex-least schedule, then
-# kill -9 one worker mid-run and check the re-dispatch path still completes
-# the depth-12 search with the exact credited count.
+# kill -9 one worker while it runs its range and check the re-dispatch path
+# still completes the depth-12 search with the exact credited count.
 set -eu
 
 WFA=${WFA:-_build/default/bin/wfa.exe}
@@ -84,12 +84,22 @@ echo "  dist:  $DIST_CEX"
   exit 1
 }
 
-echo "dist_smoke: kill -9 a worker mid-run; the survivor absorbs its jobs"
+echo "dist_smoke: kill -9 a worker mid-range; the survivor absorbs its jobs"
 "$WFA" modelcheck --depth 12 --n-s 2 --workers "$FLEET" --split-depth 5 \
   --json "$D/kill.json" > "$D/kill.out" &
 RUN=$!
-sleep 0.5
-kill -9 "$W2" 2>/dev/null || true
+# kill the second worker while it runs its range: poll its stats until a
+# request is in flight (each poll is one short-lived `wfa call`)
+i=0
+until "$WFA" call --socket "$A2" stats 2>/dev/null | grep -q '"inflight": 1'
+do
+  i=$((i + 1))
+  [ "$i" -le 2000 ] || {
+    echo "dist_smoke: the second worker never had a range in flight" >&2
+    exit 1
+  }
+done
+kill -9 "$W2"
 wait "$RUN" || {
   echo "dist_smoke: run did not survive the worker kill" >&2
   cat "$D/kill.out" >&2
@@ -104,12 +114,12 @@ grep -q '"schedules": 16777216' "$D/kill.json" || {
   cat "$D/kill.json" >&2
   exit 1
 }
-if grep -q '"workers_dead": 1' "$D/kill.json"; then
-  echo "  re-dispatch path exercised (1 worker dead, count still exact)"
-else
-  # the search won the race against the kill: correct, but log it
-  echo "  note: run finished before the kill landed"
-fi
+grep -q '"workers_dead": 1' "$D/kill.json" || {
+  echo "dist_smoke: the killed worker was not reported dead" >&2
+  cat "$D/kill.json" >&2
+  exit 1
+}
+echo "  re-dispatch path exercised (1 worker dead, count still exact)"
 
 trap - EXIT
 kill "$W1" 2>/dev/null || true

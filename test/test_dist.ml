@@ -497,10 +497,11 @@ let fleet_resume ~workers ~store (r : Ckpt.Record.t) =
     Ckpt.Frontier.resume ~store ~interval_s:0. loaded (fleet workers)
     |> Result.map (fun o -> (o.Ckpt.Frontier.verdict, o.Ckpt.Frontier.stats))
 
-(* The reference is the fleet's own uninterrupted run: a worker answers
-   each job in a call of its own, so per-job results are functions of the
-   job alone and the merged integer stats cannot depend on which half came
-   from the record. *)
+(* The half record comes from the fleet's own uninterrupted run. The
+   resumed half is cut into other ranges than the full run's, so its
+   effort counters differ from that run's; ranges are a function of the
+   unanswered jobs and the worker count alone, so two resumes of the same
+   record agree on every integer stat. *)
 let test_coordinator_resumes_half () =
   with_tcp_workers 2 (fun servers ->
       let workers = List.map snd servers in
@@ -516,20 +517,26 @@ let test_coordinator_resumes_half () =
       List.iter
         (fun case ->
           let label = Test_ckpt.case_label case in
-          let verdict, stats, half = Test_ckpt.half_done ~run:fleet_run case in
-          Test_ckpt.with_store (fun store ->
-              match fleet_resume ~workers ~store half with
-              | Error e -> Alcotest.failf "%s: %s" label e
-              | Ok (verdict', stats') ->
-                check_string (label ^ " verdict") (verdict_str verdict)
-                  (verdict_str verdict');
-                check_string (label ^ " stats") (Test_ckpt.stats_str stats)
-                  (Test_ckpt.stats_str stats');
-                Alcotest.(check int)
-                  (label ^ ": final record answers every job")
-                  half.Ckpt.Record.ck_total
-                  (List.length
-                     (Test_ckpt.load_record store).Ckpt.Record.ck_done)))
+          let verdict, _, half = Test_ckpt.half_done ~run:fleet_run case in
+          let resume () =
+            Test_ckpt.with_store (fun store ->
+                match fleet_resume ~workers ~store half with
+                | Error e -> Alcotest.failf "%s: %s" label e
+                | Ok (verdict', stats') ->
+                  check_string (label ^ " verdict") (verdict_str verdict)
+                    (verdict_str verdict');
+                  Alcotest.(check int)
+                    (label ^ ": final record answers every job")
+                    half.Ckpt.Record.ck_total
+                    (List.length
+                       (Test_ckpt.load_record store).Ckpt.Record.ck_done);
+                  stats')
+          in
+          let stats = resume () in
+          check_string
+            (label ^ " stats of two resumes")
+            (Test_ckpt.stats_str stats)
+            (Test_ckpt.stats_str (resume ())))
         Test_ckpt.engine_cases)
 
 let test_coordinator_resume_rejects () =
@@ -567,6 +574,205 @@ let test_coordinator_journal_rule () =
             ~scenario:(Test_ckpt.scenario name ~n_s) ~depth (fleet workers)
           |> Result.map (fun o -> o.Ckpt.Frontier.verdict)))
 
+(* --- range dispatch: a worker runs its jobs in one memo-sharing call --- *)
+
+let fleet_outcome ?(reduce = false) ~workers sc ~depth =
+  match Ckpt.Frontier.run ~reduce ~scenario:sc ~depth (fleet workers) with
+  | Ok o -> o
+  | Error e -> Alcotest.fail e
+
+let mono_stats ?(reduce = false) sc ~depth =
+  Exhaustive.run
+    ?reduce:(Mcheck.Scenario.reduction sc ~reduce)
+    ~build:sc.Mcheck.Scenario.sc_build ~pids:sc.Mcheck.Scenario.sc_pids ~depth
+    ~prop:sc.Mcheck.Scenario.sc_prop ()
+
+(* One worker gets every job as one range: one [run_subtrees] call over
+   the local executor's job list in its order, so the same effort to the
+   node. *)
+let test_one_worker_is_local () =
+  with_tcp_workers 1 (fun servers ->
+      let workers = List.map snd servers in
+      List.iter
+        (fun (n_s, depth) ->
+          let label = Printf.sprintf "n_s %d depth %d" n_s depth in
+          let sc = Test_ckpt.scenario "safe-agreement" ~n_s in
+          let local =
+            match
+              Ckpt.Frontier.run ~reduce:false ~scenario:sc ~depth
+                (Ckpt.Local.executor ())
+            with
+            | Ok o -> o
+            | Error e -> Alcotest.fail e
+          in
+          let o = fleet_outcome ~workers sc ~depth in
+          check_string (label ^ " verdict")
+            (verdict_str local.Ckpt.Frontier.verdict)
+            (verdict_str o.Ckpt.Frontier.verdict);
+          check_string (label ^ " stats")
+            (Test_ckpt.stats_str local.Ckpt.Frontier.stats)
+            (Test_ckpt.stats_str o.Ckpt.Frontier.stats))
+        [ (2, 8); (3, 10) ])
+
+(* Two ranges warm two tables: at most twice the monolithic effort, not
+   the ~20x of one cold table per job. *)
+let test_two_workers_nodes () =
+  let sc = Test_ckpt.scenario "safe-agreement" ~n_s:2 in
+  let expected, mono = mono_stats sc ~depth:8 in
+  with_tcp_workers 2 (fun servers ->
+      let o = fleet_outcome ~workers:(List.map snd servers) sc ~depth:8 in
+      check_string "verdict" (verdict_str expected)
+        (verdict_str o.Ckpt.Frontier.verdict);
+      let nodes = o.Ckpt.Frontier.stats.Exhaustive.nodes in
+      check_bool
+        (Printf.sprintf "%d fleet nodes <= 2 x %d monolithic" nodes
+           mono.Exhaustive.nodes)
+        true
+        (nodes <= 2 * mono.Exhaustive.nodes))
+
+(* A reduced search takes no memo hits, so one job per range loses
+   nothing: the fleet explores exactly the monolithic nodes. *)
+let test_reduced_fleet_nodes () =
+  with_tcp_workers 2 (fun servers ->
+      let workers = List.map snd servers in
+      List.iter
+        (fun (n_s, depth) ->
+          let label = Printf.sprintf "n_s %d depth %d reduced" n_s depth in
+          let sc = Test_ckpt.scenario "safe-agreement" ~n_s in
+          let expected, mono = mono_stats ~reduce:true sc ~depth in
+          let o = fleet_outcome ~reduce:true ~workers sc ~depth in
+          check_string (label ^ " verdict") (verdict_str expected)
+            (verdict_str o.Ckpt.Frontier.verdict);
+          Alcotest.(check int)
+            (label ^ " nodes") mono.Exhaustive.nodes
+            o.Ckpt.Frontier.stats.Exhaustive.nodes)
+        [ (2, 8); (3, 8) ])
+
+(* A frontier whose single range would outgrow a server's frame limit
+   (16,384 jobs, ~2 MB as one request) goes out in ranges that fit. *)
+let test_large_frontier_fits_frames () =
+  let sc = Test_ckpt.scenario "safe-agreement" ~n_s:2 in
+  let expected, _ = mono_stats sc ~depth:8 in
+  with_tcp_workers 1 (fun servers ->
+      match
+        Ckpt.Frontier.run ~split_depth:7 ~reduce:false ~scenario:sc ~depth:8
+          (fleet (List.map snd servers))
+      with
+      | Error e -> Alcotest.fail e
+      | Ok o ->
+        Alcotest.(check int) "jobs" 16384 o.Ckpt.Frontier.jobs;
+        check_string "verdict" (verdict_str expected)
+          (verdict_str o.Ckpt.Frontier.verdict))
+
+(* The [subtree] verb on the wire: a 3-job range comes back as 3 done
+   entries in the range's order, each what one in-process [run_subtrees]
+   call over the same range reports; the one-job form is refused. *)
+let test_subtree_range_wire () =
+  let sc = Test_ckpt.scenario "safe-agreement" ~n_s:2 in
+  let build = sc.Mcheck.Scenario.sc_build
+  and pids = sc.Mcheck.Scenario.sc_pids
+  and prop = sc.Mcheck.Scenario.sc_prop in
+  let depth = 6 in
+  let fr = Exhaustive.split ~build ~pids ~depth ~split_depth:2 ~prop () in
+  let range = List.filteri (fun i _ -> i >= 4 && i < 7) fr.Exhaustive.fr_jobs in
+  let want = ref [] in
+  Exhaustive.run_subtrees ~build ~pids ~depth ~prop range (fun sj r ->
+      want := (sj.Exhaustive.sj_id, r) :: !want);
+  let want = List.rev !want in
+  let params jobs =
+    Obs.Json.Obj
+      [
+        ("scenario", Obs.Json.Str "safe-agreement");
+        ("n_s", Obs.Json.Int 2);
+        ("depth", Obs.Json.Int depth);
+        jobs;
+      ]
+  in
+  with_tcp_workers 1 (fun servers ->
+      let client = Svc.Client.connect (snd (List.hd servers)) in
+      Fun.protect
+        ~finally:(fun () -> Svc.Client.close client)
+        (fun () ->
+          (match
+             Svc.Client.call
+               ~params:
+                 (params
+                    ( "jobs",
+                      Obs.Json.List (List.map Exhaustive.subtree_json range) ))
+               client Svc.Protocol.Subtree
+           with
+          | Error e -> Alcotest.fail (Svc.Client.error_string e)
+          | Ok json ->
+            let got =
+              match Obs.Json.member "done" json with
+              | Some (Obs.Json.List items) ->
+                List.map
+                  (fun j ->
+                    match Ckpt.Record.done_of_json j with
+                    | Ok d -> d
+                    | Error e -> Alcotest.fail e)
+                  items
+              | _ -> Alcotest.fail "no done list"
+            in
+            Alcotest.(check (list int))
+              "one done entry per job, in order"
+              (List.map fst want)
+              (List.map (fun d -> d.Ckpt.Record.dj_id) got);
+            List.iter2
+              (fun (id, (v, st)) d ->
+                let label = Printf.sprintf "job %d" id in
+                check_string (label ^ " verdict") (verdict_str v)
+                  (verdict_str d.Ckpt.Record.dj_verdict);
+                check_string (label ^ " stats") (Test_ckpt.stats_str st)
+                  (Test_ckpt.stats_str d.Ckpt.Record.dj_stats))
+              want got);
+          match
+            Svc.Client.call
+              ~params:(params ("job", Exhaustive.subtree_json (List.hd range)))
+              client Svc.Protocol.Subtree
+          with
+          | Error (Svc.Client.Server (Svc.Protocol.Bad_request, _)) -> ()
+          | Error e -> Alcotest.fail (Svc.Client.error_string e)
+          | Ok _ -> Alcotest.fail "the one-job form was accepted"))
+
+(* A deadline no range can meet recurs on every retry: the run must end
+   with an error naming the code and the jobs, not requeue forever. The
+   watchdog turns a livelock into a failure instead of a hang. *)
+let test_deterministic_error_ends_run () =
+  let sc = Test_ckpt.scenario "safe-agreement" ~n_s:3 in
+  with_tcp_workers 2 (fun servers ->
+      let workers = List.map snd servers in
+      let result = Atomic.make None in
+      ignore
+        (Thread.create
+           (fun () ->
+             Atomic.set result
+               (Some
+                  (try
+                     Dist.Coordinator.run ~deadline_ms:1 ~scenario:sc ~depth:10
+                       ~workers ()
+                   with e -> Error (Printexc.to_string e))))
+           ());
+      let t0 = Unix.gettimeofday () in
+      let rec wait () =
+        match Atomic.get result with
+        | Some r -> r
+        | None when Unix.gettimeofday () -. t0 > 30. ->
+          Alcotest.fail "a 1 ms deadline still runs after 30 s"
+        | None ->
+          Thread.delay 0.01;
+          wait ()
+      in
+      match wait () with
+      | Ok _ -> Alcotest.fail "a 1 ms deadline answered the ladder anchor"
+      | Error msg ->
+        List.iter
+          (fun part ->
+            check_bool
+              (Printf.sprintf "%S names %S" msg part)
+              true (Test_svc.contains msg part))
+          [ "deadline_exceeded"; " jobs, ids " ])
+
 let suite =
   [
     Alcotest.test_case "partition matches run (all frontiers, orders)" `Quick
@@ -593,6 +799,18 @@ let suite =
       test_coordinator_resume_rejects;
     Alcotest.test_case "fleet journal rule: first save fatal, later not"
       `Quick test_coordinator_journal_rule;
+    Alcotest.test_case "one-worker fleet has the local executor's stats"
+      `Quick test_one_worker_is_local;
+    Alcotest.test_case "two-worker fleet within 2x monolithic nodes" `Quick
+      test_two_workers_nodes;
+    Alcotest.test_case "reduced fleet explores the monolithic nodes" `Quick
+      test_reduced_fleet_nodes;
+    Alcotest.test_case "a large frontier goes out in ranges that fit a frame"
+      `Quick test_large_frontier_fits_frames;
+    Alcotest.test_case "subtree range on the wire: one done entry per job"
+      `Quick test_subtree_range_wire;
+    Alcotest.test_case "deterministic error reply ends the fleet run" `Quick
+      test_deterministic_error_ends_run;
     QCheck_alcotest.to_alcotest prop_merge_stats_monoid;
     QCheck_alcotest.to_alcotest prop_merge_verdicts_monoid;
     QCheck_alcotest.to_alcotest prop_partition_counts;
