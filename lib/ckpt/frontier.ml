@@ -12,8 +12,9 @@ type 'a executor =
   Mcheck.Scenario.t ->
   Record.config ->
   Exhaustive.split_result ->
+  journaled:bool ->
   todo:Exhaustive.subtree list ->
-  report:(int -> Exhaustive.verdict * Exhaustive.stats -> bool) ->
+  report:((int * (Exhaustive.verdict * Exhaustive.stats)) list -> unit) ->
   ('a, string) result
 
 let default_split_depth ~depth = max 1 (min 3 (depth - 1))
@@ -89,20 +90,19 @@ let run ?journal ?resume ?split_depth ~reduce ~scenario:sc ~depth exec =
      interval still leaves a resumable store *)
   let* () = save () in
   let last_save = ref (Obs.Clock.now_ns ()) in
-  let report id result =
-    match results.(id) with
-    | Some _ -> false
-    | None ->
-      results.(id) <- Some result;
-      (match journal with
-      | Some (_, interval_s)
-        when Obs.Clock.elapsed_s ~since:!last_save >= interval_s ->
-        (* a failed save is the store's [ckpt.save.error] event; the
-           previous generation stays resumable *)
-        ignore (save ());
-        last_save := Obs.Clock.now_ns ()
-      | _ -> ());
-      true
+  let report batch =
+    List.iter
+      (fun (id, result) ->
+        if results.(id) = None then results.(id) <- Some result)
+      batch;
+    match journal with
+    | Some (_, interval_s)
+      when Obs.Clock.elapsed_s ~since:!last_save >= interval_s ->
+      (* a failed save is the store's [ckpt.save.error] event; the
+         previous generation stays resumable *)
+      ignore (save ());
+      last_save := Obs.Clock.now_ns ()
+    | _ -> ()
   in
   let todo =
     List.filter (fun sj -> results.(sj.Exhaustive.sj_id) = None) fr.fr_jobs
@@ -111,7 +111,7 @@ let run ?journal ?resume ?split_depth ~reduce ~scenario:sc ~depth exec =
   let executed =
     Fun.protect
       ~finally:(fun () -> ignore (save ()))
-      (fun () -> exec sc config fr ~todo ~report)
+      (fun () -> exec sc config fr ~journaled:(journal <> None) ~todo ~report)
   in
   let answered = List.filter_map Fun.id (Array.to_list results) in
   let unresolved () =

@@ -8,8 +8,8 @@
     a TCP fleet. Either way the verdict, credited count and lex-least
     counterexample are those of {!Simkit.Exhaustive.run}.
 
-    Journal rule: a generation is written before any job runs, after an
-    accepted result once [interval_s] seconds (no floor) have passed since
+    Journal rule: a generation is written before any job runs, after a
+    reported batch once [interval_s] seconds (no floor) have passed since
     the last one, and when the executor returns or raises. A first
     generation that cannot be written makes the run [Error]; a later failed
     save is only the store's [ckpt.save.error] event. *)
@@ -26,13 +26,17 @@ type 'a executor =
   Mcheck.Scenario.t ->
   Record.config ->
   Simkit.Exhaustive.split_result ->
+  journaled:bool ->
   todo:Simkit.Exhaustive.subtree list ->
-  report:(int -> Simkit.Exhaustive.verdict * Simkit.Exhaustive.stats -> bool) ->
+  report:((int * (Simkit.Exhaustive.verdict * Simkit.Exhaustive.stats)) list ->
+         unit) ->
   ('a, string) result
-(** Run the [todo] jobs (unanswered, DFS order) and pass each result to
-    [report] with its job id, never concurrently. [report] keeps the first
-    result per id and says whether it was that one. [Error] says why jobs
-    remain unanswered. *)
+(** Run the [todo] jobs (unanswered, DFS order) and pass their results to
+    [report] as [(job id, result)] batches, never concurrently; the driver
+    keeps the first result per id and journals at most once per batch.
+    [journaled] says whether the driver journals, so an executor can trade
+    speed for what a kill loses. [Error] says why jobs remain
+    unanswered. *)
 
 val default_split_depth : depth:int -> int
 (** [max 1 (min 3 (depth - 1))]: jobs enough for a small fleet and a

@@ -22,12 +22,12 @@ let checkpoint_field store ~resumed =
       @ if errors > 0 then [ ("save_errors", Obs.Json.Int errors) ] else [])
   )
 
-let executor ?cancel () sc config _fr ~todo ~report =
+let executor ?cancel () sc config _fr ~journaled:_ ~todo ~report =
   let reduce = Mcheck.Scenario.reduction sc ~reduce:config.Record.cf_reduce in
   Exhaustive.run_subtrees ?reduce ?cancel ~build:sc.Mcheck.Scenario.sc_build
     ~pids:sc.Mcheck.Scenario.sc_pids ~depth:config.Record.cf_depth
     ~prop:sc.Mcheck.Scenario.sc_prop todo (fun sj result ->
-      ignore (report sj.Exhaustive.sj_id result));
+      report [ (sj.Exhaustive.sj_id, result) ]);
   Ok ()
 
 let run ?(interval_s = default_interval_s) ?(reduce = false) ?cancel ~store

@@ -24,7 +24,7 @@ type shared = {
   pending : Exhaustive.subtree list Queue.t;  (* ranges nobody is running *)
   mutable left : int;  (* jobs without an accepted result *)
   mutable failed : string option;  (* an error every retry would repeat *)
-  report : int -> Exhaustive.verdict * Exhaustive.stats -> bool;
+  report : (int * (Exhaustive.verdict * Exhaustive.stats)) list -> unit;
   mutable redispatched : int;
 }
 
@@ -37,27 +37,24 @@ let locked st f =
   Mutex.lock st.mutex;
   Fun.protect ~finally:(fun () -> Mutex.unlock st.mutex) f
 
-(* Most jobs in one request: at the ~100-200 bytes a job takes on the
-   wire, a range's request stays well inside a server's default 1 MiB
-   frame limit, whatever the split depth. *)
-let max_range = 2048
+let take_drop k l =
+  (List.filteri (fun i _ -> i < k) l, List.filteri (fun i _ -> i >= k) l)
 
-(* [todo] cut into contiguous ranges, one per worker unless that breaks
-   [max_range], with sizes differing by at most one job: the jobs of a
-   range share the worker's memo table. *)
-let cut workers todo =
+(* [todo] cut into [n] contiguous ranges (fewer when there are fewer
+   jobs), with sizes differing by at most one job: the jobs of a range
+   share the worker's memo table. *)
+let cut n todo =
   let len = List.length todo in
-  let n = max workers ((len + max_range - 1) / max_range) in
   let rec go i rest =
-    if i = n || rest = [] then []
+    if rest = [] then []
     else
       let size = (len / n) + if i < len mod n then 1 else 0 in
-      List.filteri (fun j _ -> j < size) rest
-      :: go (i + 1) (List.filteri (fun j _ -> j >= size) rest)
+      let range, rest = take_drop size rest in
+      range :: go (i + 1) rest
   in
   go 0 todo
 
-(* A range whose request came to nothing goes back whole, for any worker. *)
+(* A range whose request came to nothing goes back, for any connection. *)
 let requeue st ~reason range =
   Queue.push range st.pending;
   st.redispatched <- st.redispatched + List.length range;
@@ -70,7 +67,7 @@ let requeue st ~reason range =
 
 (* Called with the lock held: the next range, [None] once every job is
    answered or the run has failed. An empty queue with jobs left means
-   another worker runs them: wait for its result or its requeue. *)
+   another connection runs them: wait for its result or its requeue. *)
 let rec take st =
   if st.left = 0 || st.failed <> None then None
   else
@@ -99,116 +96,154 @@ let decode range json =
       then Ok ds
       else Error "\"done\" ids are not the range's")
 
-(* One worker thread: connect, then run one range at a time until the run
+let connect ~retries ~backoff_ms addr =
+  (* the binary codec when the server speaks it — subtree results are
+     bulky and the hello downgrades transparently against an older fleet *)
+  Svc.Client.connect ~retries ~backoff_ms ~codec:Svc.Protocol.Codec.Binary
+    addr
+
+(* A server's pool size, from its [stats] reply: how many ranges it runs
+   at once. A server that does not say runs one. *)
+let pool_size client =
+  match Svc.Client.call client P.Stats with
+  | Ok json -> (
+    match J.member "workers" json with
+    | Some (J.Int k) when k >= 1 -> k
+    | _ -> 1)
+  | Error _ -> 1
+
+let exn_string = function
+  | Unix.Unix_error (err, _, _) -> Unix.error_message err
+  | e -> Printexc.to_string e
+
+(* A connection failed: mark its server, requeue the range it owed. *)
+let retire st ~dead w wname why range =
+  locked st (fun () ->
+      dead.(w) <- true;
+      emit st Obs.Event.Name.dist_worker_dead
+        [
+          ("worker", J.Str wname);
+          ("error", J.Str why);
+          ("requeued", J.Int (List.length range));
+        ];
+      if range <> [] then requeue st ~reason:"worker_dead" range;
+      Condition.broadcast st.cond)
+
+(* One connection's thread: run one range at a time until the run
    completes, fails or the connection dies. A dead connection requeues the
    range it owed and retires the thread — the jobs live on elsewhere. *)
-let worker_loop st ~config ~deadline_ms ~retries ~backoff_ms ~accepted ~dead
-    w addr =
-  let wname = Printf.sprintf "%d:%s" w addr in
-  let die client range why =
-    Option.iter Svc.Client.close client;
+let conn_loop st ~config ~deadline_ms ~backoff_ms ~accepted ~dead w wname
+    client =
+  let owed = ref [] in
+  let settle ds =
     locked st (fun () ->
-        dead.(w) <- true;
-        emit st Obs.Event.Name.dist_worker_dead
-          [
-            ("worker", J.Str wname);
-            ("error", J.Str why);
-            ("requeued", J.Int (List.length range));
-          ];
-        if range <> [] then requeue st ~reason:"worker_dead" range;
+        (* the driver keeps and journals the batch; each job has exactly
+           one live dispatch, so every result is new *)
+        st.report
+          (List.map
+             (fun d -> (d.Ckpt.Record.dj_id, (d.dj_verdict, d.dj_stats)))
+             ds);
+        List.iter
+          (fun { Ckpt.Record.dj_id = id; dj_verdict = v; _ } ->
+            st.left <- st.left - 1;
+            accepted.(w) <- accepted.(w) + 1;
+            emit st Obs.Event.Name.dist_result
+              [
+                ("job", J.Int id);
+                ("worker", J.Str wname);
+                ( "verdict",
+                  J.Str
+                    (match v with
+                    | Exhaustive.Ok _ -> "ok"
+                    | Exhaustive.Counterexample _ -> "counterexample") );
+              ])
+          ds;
+        owed := [];
         Condition.broadcast st.cond)
   in
-  (* workers get the binary codec when they speak it — subtree results are
-     bulky and the hello downgrades transparently against an older fleet *)
-  match
-    Svc.Client.connect ~retries ~backoff_ms ~codec:Svc.Protocol.Codec.Binary
-      addr
-  with
-  | exception e ->
-    die None []
-      (match e with
-      | Unix.Unix_error (err, _, _) -> Unix.error_message err
-      | e -> Printexc.to_string e)
-  | client -> (
-    let owed = ref [] in
-    let settle ds =
+  let rec serve () =
+    let next =
       locked st (fun () ->
-          List.iter
-            (fun { Ckpt.Record.dj_id = id; dj_verdict = v; dj_stats } ->
-              (* the driver keeps the first result per id and journals it *)
-              if st.report id (v, dj_stats) then begin
-                st.left <- st.left - 1;
-                accepted.(w) <- accepted.(w) + 1;
-                emit st Obs.Event.Name.dist_result
-                  [
-                    ("job", J.Int id);
-                    ("worker", J.Str wname);
-                    ( "verdict",
-                      J.Str
-                        (match v with
-                        | Exhaustive.Ok _ -> "ok"
-                        | Exhaustive.Counterexample _ -> "counterexample") );
-                  ]
-              end)
-            ds;
-          owed := [];
-          Condition.broadcast st.cond)
+          let next = take st in
+          Option.iter
+            (List.iter (fun sj ->
+                 emit st Obs.Event.Name.dist_dispatch
+                   [
+                     ("job", J.Int sj.Exhaustive.sj_id);
+                     ("worker", J.Str wname);
+                   ]))
+            next;
+          next)
     in
-    let rec serve () =
-      let next =
-        locked st (fun () ->
-            let next = take st in
-            Option.iter
-              (List.iter (fun sj ->
-                   emit st Obs.Event.Name.dist_dispatch
-                     [
-                       ("job", J.Int sj.Exhaustive.sj_id);
-                       ("worker", J.Str wname);
-                     ]))
-              next;
-            next)
+    match next with
+    | None -> Svc.Client.close client
+    | Some range -> (
+      owed := range;
+      let fail why =
+        Svc.Client.close client;
+        retire st ~dead w wname why range
       in
-      match next with
-      | None -> Svc.Client.close client
-      | Some range -> (
-        owed := range;
-        match
-          Svc.Client.call ?deadline_ms ~params:(range_params config range)
-            client P.Subtree
-        with
-        | Ok json -> (
-          match decode range json with
-          | Ok ds ->
-            settle ds;
-            serve ()
-          | Error msg -> die (Some client) range ("bad result: " ^ msg))
-        | Error (Svc.Client.Transport msg) -> die (Some client) range msg
-        | Error
-            (Svc.Client.Server (((P.Overloaded | P.Shutting_down) as code), _))
-          ->
-          (* the server may take the range later, or another will *)
-          locked st (fun () ->
-              requeue st ~reason:(P.err_code_string code) range);
-          owed := [];
-          Thread.delay (float_of_int backoff_ms /. 1000.);
+      match
+        Svc.Client.call ?deadline_ms ~params:(range_params config range)
+          client P.Subtree
+      with
+      | Ok json -> (
+        match decode range json with
+        | Ok ds ->
+          settle ds;
           serve ()
-        | Error (Svc.Client.Server (code, msg)) ->
-          (* a deadline, a rejected request or a crashed handler recurs on
-             every retry: requeueing it would never end the run *)
-          let ids = List.map (fun sj -> sj.Exhaustive.sj_id) range in
-          locked st (fun () ->
-              if st.failed = None then
-                st.failed <-
-                  Some
-                    (Printf.sprintf "worker %s: %s on %d jobs, ids %d..%d: %s"
-                       wname (P.err_code_string code) (List.length ids)
-                       (List.hd ids)
-                       (List.hd (List.rev ids))
-                       msg);
-              Condition.broadcast st.cond);
-          Svc.Client.close client)
-    in
-    try serve () with e -> die (Some client) !owed (Printexc.to_string e))
+        | Error msg -> fail ("bad result: " ^ msg))
+      | Error (Svc.Client.Transport msg) -> fail msg
+      | Error
+          (Svc.Client.Server (((P.Overloaded | P.Shutting_down) as code), _))
+        ->
+        (* the server may take the range later, or another will *)
+        locked st (fun () -> requeue st ~reason:(P.err_code_string code) range);
+        owed := [];
+        Thread.delay (float_of_int backoff_ms /. 1000.);
+        serve ()
+      | Error
+          (Svc.Client.Server
+             (((P.Oversized | P.Deadline_exceeded) as code), _))
+        when List.length range > 1 ->
+        (* the range is too big for this server's frame or deadline limit:
+           its halves may fit, down to single jobs *)
+        let a, b = take_drop (List.length range / 2) range in
+        locked st (fun () ->
+            requeue st ~reason:(P.err_code_string code) a;
+            requeue st ~reason:(P.err_code_string code) b);
+        owed := [];
+        serve ()
+      | Error (Svc.Client.Server (code, msg)) ->
+        (* a single job past a limit, a rejected request or a crashed
+           handler recurs on every retry: requeueing would never end *)
+        let ids = List.map (fun sj -> sj.Exhaustive.sj_id) range in
+        let jobs =
+          match ids with
+          | [ id ] -> Printf.sprintf "job %d" id
+          | _ ->
+            Printf.sprintf "%d jobs, ids %d..%d" (List.length ids)
+              (List.hd ids)
+              (List.hd (List.rev ids))
+        in
+        locked st (fun () ->
+            if st.failed = None then
+              st.failed <-
+                Some
+                  (Printf.sprintf "worker %s: %s on %s: %s" wname
+                     (P.err_code_string code) jobs msg);
+            Condition.broadcast st.cond);
+        Svc.Client.close client)
+  in
+  try serve ()
+  with e ->
+    Svc.Client.close client;
+    retire st ~dead w wname (exn_string e) !owed
+
+(* Ranges per connection when the driver journals: a kill loses the
+   ranges in flight, so a finer cut bounds the loss at the price of a few
+   more cold memo tables. *)
+let journaled_ranges = 4
 
 let executor ?sink ?(retries = 5) ?(backoff_ms = 50) ?deadline_ms workers =
   match
@@ -223,21 +258,15 @@ let executor ?sink ?(retries = 5) ?(backoff_ms = 50) ?deadline_ms workers =
   | Some msg -> Error msg
   | None ->
     Ok
-      (fun _sc config fr ~todo ~report ->
+      (fun _sc config fr ~journaled ~todo ~report ->
         let total = List.length fr.Exhaustive.fr_jobs in
         let n = List.length workers in
-        (* a reduced search takes no memo hits, so a range would share
-           nothing and only unbalance the workers *)
-        let ranges =
-          if config.Ckpt.Record.cf_reduce then List.map (fun sj -> [ sj ]) todo
-          else cut n todo
-        in
         let st =
           {
             mutex = Mutex.create ();
             cond = Condition.create ();
             sink;
-            pending = Queue.of_seq (List.to_seq ranges);
+            pending = Queue.create ();
             left = List.length todo;
             failed = None;
             report;
@@ -251,14 +280,58 @@ let executor ?sink ?(retries = 5) ?(backoff_ms = 50) ?deadline_ms workers =
             ("pruned", J.Int fr.Exhaustive.fr_pruned);
           ];
         let accepted = Array.make n 0 and dead = Array.make n false in
+        let wname w addr = Printf.sprintf "%d:%s" w addr in
+        (* connect to every server at once, and learn how many ranges each
+           runs at a time *)
+        let opened = Array.make n None in
         List.mapi
           (fun w addr ->
             Thread.create
               (fun () ->
-                worker_loop st ~config ~deadline_ms ~retries ~backoff_ms
-                  ~accepted ~dead w addr)
+                match connect ~retries ~backoff_ms addr with
+                | exception e ->
+                  retire st ~dead w (wname w addr) (exn_string e) []
+                | client -> opened.(w) <- Some (client, pool_size client))
               ())
           workers
+        |> List.iter Thread.join;
+        let slots =
+          Array.fold_left
+            (fun acc o -> acc + Option.fold ~none:0 ~some:snd o)
+            0 opened
+        in
+        (* a reduced search takes no memo hits, so a range would share
+           nothing and only unbalance the workers *)
+        let ranges =
+          if config.Ckpt.Record.cf_reduce then List.map (fun sj -> [ sj ]) todo
+          else
+            cut (max 1 slots * if journaled then journaled_ranges else 1) todo
+        in
+        List.iter (fun r -> Queue.push r st.pending) ranges;
+        (* one connection per pool domain, each with one range in flight *)
+        List.concat
+          (List.mapi
+             (fun w addr ->
+               match opened.(w) with
+               | None -> []
+               | Some (client, k) ->
+                 let loop client =
+                   conn_loop st ~config ~deadline_ms ~backoff_ms ~accepted
+                     ~dead w (wname w addr) client
+                 in
+                 Thread.create loop client
+                 :: List.init
+                      (max 0 (min k (List.length ranges) - 1))
+                      (fun _ ->
+                        Thread.create
+                          (fun () ->
+                            match connect ~retries ~backoff_ms addr with
+                            | exception e ->
+                              retire st ~dead w (wname w addr) (exn_string e)
+                                []
+                            | client -> loop client)
+                          ()))
+             workers)
         |> List.iter Thread.join;
         match st.failed with
         | Some msg -> Error msg

@@ -378,18 +378,18 @@ let prop_partition_counts =
 
 (* --- end-to-end: the coordinator over real in-process TCP workers --- *)
 
-let start_tcp_worker () =
+let start_tcp_worker ?(tune = Fun.id) () =
   let cfg =
     {
       (Svc.Server.default_config ~listen:(Svc.Addr.Tcp ("127.0.0.1", 0))) with
       Svc.Server.workers = 1;
     }
   in
-  let t = Svc.Server.start cfg in
+  let t = Svc.Server.start (tune cfg) in
   (t, Svc.Addr.to_string (Svc.Server.listen_addr t))
 
-let with_tcp_workers n f =
-  let servers = List.init n (fun _ -> start_tcp_worker ()) in
+let with_tcp_workers ?tune n f =
+  let servers = List.init n (fun _ -> start_tcp_worker ?tune ()) in
   Fun.protect
     ~finally:(fun () ->
       List.iter
@@ -648,21 +648,66 @@ let test_reduced_fleet_nodes () =
             o.Ckpt.Frontier.stats.Exhaustive.nodes)
         [ (2, 8); (3, 8) ])
 
-(* A frontier whose single range would outgrow a server's frame limit
-   (16,384 jobs, ~2 MB as one request) goes out in ranges that fit. *)
-let test_large_frontier_fits_frames () =
+(* A range too big for a server's limits is halved until it fits. A
+   frontier of 16,384 jobs makes a ~2 MB range, past the default 1 MiB
+   frame; a server with a 64 KiB frame halves it further. *)
+let test_ranges_split_to_fit_frames () =
   let sc = Test_ckpt.scenario "safe-agreement" ~n_s:2 in
   let expected, _ = mono_stats sc ~depth:8 in
-  with_tcp_workers 1 (fun servers ->
+  List.iter
+    (fun (label, max_frame) ->
+      with_tcp_workers
+        ~tune:(fun cfg -> { cfg with Svc.Server.max_frame })
+        1
+        (fun servers ->
+          match
+            Ckpt.Frontier.run ~split_depth:7 ~reduce:false ~scenario:sc
+              ~depth:8
+              (fleet (List.map snd servers))
+          with
+          | Error e -> Alcotest.failf "%s: %s" label e
+          | Ok o ->
+            Alcotest.(check int) (label ^ " jobs") 16384 o.Ckpt.Frontier.jobs;
+            check_string (label ^ " verdict") (verdict_str expected)
+              (verdict_str o.Ckpt.Frontier.verdict);
+            check_bool (label ^ ": the range was split") true
+              (o.Ckpt.Frontier.executor.Dist.Coordinator.redispatched > 0)))
+    [ ("default frame", Svc.Frame.default_max_len); ("64 KiB frame", 65536) ]
+
+(* A server whose default deadline every job meets but a whole range
+   misses: the range is halved until its parts meet it, and the run
+   completes. 1,024 jobs of at most 4^5 schedules each take well under a
+   millisecond apiece; all of them take several times 10 ms. *)
+let test_ranges_split_to_meet_deadline () =
+  let sc = Test_ckpt.scenario "safe-agreement" ~n_s:2 in
+  let expected, _ = mono_stats sc ~depth:10 in
+  with_tcp_workers
+    ~tune:(fun cfg -> { cfg with Svc.Server.default_deadline_ms = Some 10 })
+    1
+    (fun servers ->
       match
-        Ckpt.Frontier.run ~split_depth:7 ~reduce:false ~scenario:sc ~depth:8
+        Ckpt.Frontier.run ~split_depth:5 ~reduce:false ~scenario:sc ~depth:10
           (fleet (List.map snd servers))
       with
       | Error e -> Alcotest.fail e
       | Ok o ->
-        Alcotest.(check int) "jobs" 16384 o.Ckpt.Frontier.jobs;
+        Alcotest.(check int) "jobs" 1024 o.Ckpt.Frontier.jobs;
         check_string "verdict" (verdict_str expected)
-          (verdict_str o.Ckpt.Frontier.verdict))
+          (verdict_str o.Ckpt.Frontier.verdict);
+        check_bool "the range was split" true
+          (o.Ckpt.Frontier.executor.Dist.Coordinator.redispatched > 0))
+
+(* A server with a pool of two domains gets two ranges at once, over two
+   connections: the same cut, to the node, as two one-domain servers. *)
+let test_pool_domains_get_ranges () =
+  let sc = Test_ckpt.scenario "safe-agreement" ~n_s:2 in
+  let stats ?tune n =
+    with_tcp_workers ?tune n (fun servers ->
+        let o = fleet_outcome ~workers:(List.map snd servers) sc ~depth:8 in
+        Test_ckpt.stats_str o.Ckpt.Frontier.stats)
+  in
+  check_string "one 2-domain server = two 1-domain servers" (stats 2)
+    (stats ~tune:(fun cfg -> { cfg with Svc.Server.workers = 2 }) 1)
 
 (* The [subtree] verb on the wire: a 3-job range comes back as 3 done
    entries in the range's order, each what one in-process [run_subtrees]
@@ -735,9 +780,10 @@ let test_subtree_range_wire () =
           | Error e -> Alcotest.fail (Svc.Client.error_string e)
           | Ok _ -> Alcotest.fail "the one-job form was accepted"))
 
-(* A deadline no range can meet recurs on every retry: the run must end
-   with an error naming the code and the jobs, not requeue forever. The
-   watchdog turns a livelock into a failure instead of a hang. *)
+(* A deadline no single job can meet recurs on every retry: the run
+   halves its ranges down to one job, then ends with an error naming the
+   code and the job, not requeue forever. The watchdog turns a livelock
+   into a failure instead of a hang. *)
 let test_deterministic_error_ends_run () =
   let sc = Test_ckpt.scenario "safe-agreement" ~n_s:3 in
   with_tcp_workers 2 (fun servers ->
@@ -749,7 +795,7 @@ let test_deterministic_error_ends_run () =
              Atomic.set result
                (Some
                   (try
-                     Dist.Coordinator.run ~deadline_ms:1 ~scenario:sc ~depth:10
+                     Dist.Coordinator.run ~deadline_ms:1 ~scenario:sc ~depth:12
                        ~workers ()
                    with e -> Error (Printexc.to_string e))))
            ());
@@ -764,14 +810,14 @@ let test_deterministic_error_ends_run () =
           wait ()
       in
       match wait () with
-      | Ok _ -> Alcotest.fail "a 1 ms deadline answered the ladder anchor"
+      | Ok _ -> Alcotest.fail "a 1 ms deadline answered depth 12"
       | Error msg ->
         List.iter
           (fun part ->
             check_bool
               (Printf.sprintf "%S names %S" msg part)
               true (Test_svc.contains msg part))
-          [ "deadline_exceeded"; " jobs, ids " ])
+          [ "deadline_exceeded"; " on job " ])
 
 let suite =
   [
@@ -805,8 +851,12 @@ let suite =
       test_two_workers_nodes;
     Alcotest.test_case "reduced fleet explores the monolithic nodes" `Quick
       test_reduced_fleet_nodes;
-    Alcotest.test_case "a large frontier goes out in ranges that fit a frame"
-      `Quick test_large_frontier_fits_frames;
+    Alcotest.test_case "a range past a frame limit is halved until it fits"
+      `Quick test_ranges_split_to_fit_frames;
+    Alcotest.test_case "a range past a deadline is halved until it meets it"
+      `Quick test_ranges_split_to_meet_deadline;
+    Alcotest.test_case "a 2-domain server runs two ranges at once" `Quick
+      test_pool_domains_get_ranges;
     Alcotest.test_case "subtree range on the wire: one done entry per job"
       `Quick test_subtree_range_wire;
     Alcotest.test_case "deterministic error reply ends the fleet run" `Quick
