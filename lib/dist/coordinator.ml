@@ -300,15 +300,21 @@ let executor ?sink ?(retries = 5) ?(backoff_ms = 50) ?deadline_ms workers =
             (fun acc o -> acc + Option.fold ~none:0 ~some:snd o)
             0 opened
         in
-        (* a reduced search takes no memo hits, so a range would share
-           nothing and only unbalance the workers *)
-        let ranges =
-          if config.Ckpt.Record.cf_reduce then List.map (fun sj -> [ sj ]) todo
+        (* A reduced search takes no memo hits, so a range would share
+           nothing and only unbalance the workers: one job per range, and
+           two connections per pool domain, so the server has the next job
+           queued while a reply travels. An unreduced run's ranges are cut
+           once, one per connection, so more connections would only mean
+           more cold memo tables. *)
+        let ranges, per_domain =
+          if config.Ckpt.Record.cf_reduce then
+            (List.map (fun sj -> [ sj ]) todo, 2)
           else
-            cut (max 1 slots * if journaled then journaled_ranges else 1) todo
+            let per_conn = if journaled then journaled_ranges else 1 in
+            (cut (max 1 slots * per_conn) todo, 1)
         in
         List.iter (fun r -> Queue.push r st.pending) ranges;
-        (* one connection per pool domain, each with one range in flight *)
+        (* each connection has one range in flight *)
         List.concat
           (List.mapi
              (fun w addr ->
@@ -321,7 +327,7 @@ let executor ?sink ?(retries = 5) ?(backoff_ms = 50) ?deadline_ms workers =
                  in
                  Thread.create loop client
                  :: List.init
-                      (max 0 (min k (List.length ranges) - 1))
+                      (max 0 (min (per_domain * k) (List.length ranges) - 1))
                       (fun _ ->
                         Thread.create
                           (fun () ->

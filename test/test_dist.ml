@@ -709,6 +709,25 @@ let test_pool_domains_get_ranges () =
   check_string "one 2-domain server = two 1-domain servers" (stats 2)
     (stats ~tune:(fun cfg -> { cfg with Svc.Server.workers = 2 }) 1)
 
+(* A journaled fleet cuts four ranges per connection and saves once per
+   reply: two one-domain servers answer in 8 replies, so the newest
+   generation is 9 (0 before any job, 1..8 one per reply, 9 the final). *)
+let test_journal_once_per_reply () =
+  with_tcp_workers 2 (fun servers ->
+      Test_ckpt.with_store (fun store ->
+          match
+            Ckpt.Frontier.run ~journal:(store, 0.) ~reduce:false
+              ~scenario:(Test_ckpt.scenario "safe-agreement" ~n_s:2)
+              ~depth:8
+              (fleet (List.map snd servers))
+          with
+          | Error e -> Alcotest.fail e
+          | Ok o -> (
+            check_bool "more jobs than ranges" true (o.Ckpt.Frontier.jobs > 8);
+            match Ckpt.Local.load_record store with
+            | Ok (gen, _) -> Alcotest.(check int) "newest generation" 9 gen
+            | Error e -> Alcotest.fail e)))
+
 (* The [subtree] verb on the wire: a 3-job range comes back as 3 done
    entries in the range's order, each what one in-process [run_subtrees]
    call over the same range reports; the one-job form is refused. *)
@@ -857,6 +876,8 @@ let suite =
       `Quick test_ranges_split_to_meet_deadline;
     Alcotest.test_case "a 2-domain server runs two ranges at once" `Quick
       test_pool_domains_get_ranges;
+    Alcotest.test_case "a journaled fleet saves once per reply" `Quick
+      test_journal_once_per_reply;
     Alcotest.test_case "subtree range on the wire: one done entry per job"
       `Quick test_subtree_range_wire;
     Alcotest.test_case "deterministic error reply ends the fleet run" `Quick
