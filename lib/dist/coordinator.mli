@@ -6,7 +6,8 @@
     connection (four per connection when the driver journals, so a kill
     loses less), with sizes differing by at most one job; a reduced run
     ([cf_reduce]) takes one job per range instead, since a reduced search
-    never hits its memo. A range goes out as a single [subtree] request
+    never hits its memo, and two connections per pool domain, so the
+    server has the next job queued while a reply travels. A range goes out as a single [subtree] request
     ({!Svc.Protocol}), which the server runs in one
     {!Simkit.Exhaustive.run_subtrees} call, so the jobs of a range share
     one memo table. Each reply's results go to the driver's [report] as
