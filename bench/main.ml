@@ -701,7 +701,7 @@ let checker () =
         show "incremental+memo"
           (Exhaustive.run ~memo:true ~mode ~build ~pids ~depth ~prop ())
       in
-      let reduce = { Exhaustive.sleep = true; symmetry } in
+      let reduce = { Exhaustive.symmetry } in
       let red =
         show "reduced (sleep+symmetry)"
           (Exhaustive.run ~reduce ~mode ~build ~pids ~depth ~prop ())

@@ -500,7 +500,7 @@ let modelcheck scenario_file depth n_s reduce scenario workers split_depth
         finish
           ~engine:
             (if red = None then "incremental+memo"
-             else "incremental+memo+sleep+symmetry")
+             else "incremental+sleep+symmetry")
           ~dist_fields:[] verdict stats)
     | Ok store ->
       let journal = Option.map (fun s -> (s, checkpoint_interval_s)) store in
@@ -634,7 +634,7 @@ let bench json =
   engine "replay-baseline" (fun () ->
       Exhaustive.run_replay ~build ~pids ~depth:6 ~prop ());
   engine "incremental-memo" (fun () ->
-      Exhaustive.run ~memo:true ~build ~pids ~depth:6 ~prop ());
+      Exhaustive.run ~build ~pids ~depth:6 ~prop ());
   let path =
     match json with
     | Some p ->

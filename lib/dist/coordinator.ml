@@ -300,7 +300,7 @@ let executor ?sink ?(retries = 5) ?(backoff_ms = 50) ?deadline_ms workers =
             (fun acc o -> acc + Option.fold ~none:0 ~some:snd o)
             0 opened
         in
-        (* A reduced search takes no memo hits, so a range would share
+        (* A reduced search keeps no memo, so a range would share
            nothing and only unbalance the workers: one job per range, and
            two connections per pool domain, so the server has the next job
            queued while a reply travels. An unreduced run's ranges are cut

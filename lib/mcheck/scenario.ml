@@ -104,5 +104,5 @@ let find name ~n_s =
            (String.concat "|" names))
 
 let reduction sc ~reduce =
-  if reduce then Some { Exhaustive.sleep = true; symmetry = sc.sc_symmetry }
+  if reduce then Some { Exhaustive.symmetry = sc.sc_symmetry }
   else None

@@ -47,6 +47,7 @@ val find : string -> n_s:int -> (t, string) result
     and lists the valid names. *)
 
 val reduction : t -> reduce:bool -> Simkit.Exhaustive.reduction option
-(** [Some {sleep = true; symmetry = sc.sc_symmetry}] when [reduce],
-    else [None] — the exact reduction the CLI has always used, factored
-    so coordinator and workers cannot disagree on it. *)
+(** [Some {symmetry = sc.sc_symmetry}] (sleep sets plus the scenario's
+    symmetry classes) when [reduce], else [None] — the exact reduction the
+    CLI has always used, factored so coordinator and workers cannot
+    disagree on it. *)

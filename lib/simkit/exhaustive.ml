@@ -141,10 +141,14 @@ exception Cancelled
    interleavings. When a node's state has been seen before at the same
    clock, its subtree is skipped and the recorded number of complete
    schedules below it is credited, so counts stay exact. Only fully
-   verified (counterexample-free) subtrees are memoized.
+   verified (counterexample-free) subtrees are memoized, and only an
+   unreduced search keeps a memo: sleep sets already prune the commuted
+   orders that would reach a stored state, and what is left to catch
+   (writes overwritten alike in either order, as in a register race) saves
+   less time than digesting every node costs.
 
    Reduction (optional): sleep-set partial-order reduction over the
-   step-footprint independence relation ({!Runtime.footprint}), and
+   step-footprint independence relation ({!Runtime.footprint}), plus
    symmetry reduction over caller-declared classes of interchangeable pids.
    Both prune whole subtrees while crediting exactly the complete schedules
    they hold, so counts stay |pids|^depth. The load-bearing arguments:
@@ -165,26 +169,17 @@ exception Cancelled
      counterexample found equals the unreduced search's (DFS order is lex
      order).
 
-   - Sleep × memo: a memoized subtree was verified minus what its sleep set
-     pruned, so an entry records the sleep mask it was explored under and a
-     hit is taken only when stored ⊆ current. Otherwise the subtree is
-     re-explored under the intersection and the entry tightened — monotone,
-     so this converges.
-
    - Symmetry: at any state, the not-yet-scheduled members of a class are in
      identical (peeked) local states, so continuations that differ only by
      renaming them are prop-equivalent; exploring the first unused member
      with multiplier (m - u) covers all m - u renamings. Per class the
      explored children's multipliers sum to the class size, keeping counts
-     exact. Which members a prefix has used is digest-determined (scheds
-     counters), so memoized counts transfer between digest-equal nodes.
+     exact.
 
    - Peeking: footprints force Fresh processes to their first suspension
-     point. That is behaviour-neutral but digest-visible, so a reduced
-     search peeks every pid after every step and replay, and digests are
-     compared at uniform peek points. An unreduced search never peeks nor
-     computes footprints, so its digests and counters do not depend on the
-     reduction code.
+     point, so a reduced search peeks every pid after every step and
+     replay. An unreduced search never peeks nor computes footprints, so
+     its digests and counters do not depend on the reduction code.
 
    Seed and cut: the DFS starts at a seeded node — a schedule prefix
    (replayed without property checks), sleep mask, orbit-multiplier product
@@ -199,19 +194,16 @@ exception Cancelled
    frontier are credited by the splitting search itself, prunes below it by
    the same code seeded with the frontier context, and jobs are emitted in
    DFS (= lex) order, so every counterexample inside job i lex-precedes
-   every one inside job j > i. The jobs of one [run_subtrees] call share
-   one memo table, so a hit across jobs is a hit across sibling branches
-   of [run], under the same ⊆-mask rule; only effort counters depend on
-   how the jobs are grouped into calls. *)
+   every one inside job j > i. The jobs of one unreduced [run_subtrees]
+   call share one memo table, so a hit across jobs is a hit across sibling
+   branches of [run]; only effort counters depend on how the jobs are
+   grouped into calls. *)
 
-type reduction = { sleep : bool; symmetry : Pid.t list list }
-
-let no_reduction = { sleep = false; symmetry = [] }
+type reduction = { symmetry : Pid.t list list }
 
 (* Compiled, read-only search context. *)
 type ctx = {
-  c_peek : bool;  (* any reduction layer on: peek every pid after each step *)
-  c_sleep : bool;
+  c_reduce : bool;  (* sleep sets on: peek every pid after each step *)
   c_pids : Pid.t array;
   c_cls : int array;  (* pid index -> class id, -1 if in no class *)
   c_pos : int array;  (* pid index -> canonical position within its class *)
@@ -236,12 +228,13 @@ let schedule_counts ~who ~pids ~depth =
   pow
 
 let compile ~who ~pids ~depth reduce =
-  let r = Option.value reduce ~default:no_reduction in
   let pow = schedule_counts ~who ~pids ~depth in
   let arr = Array.of_list pids in
   let n = Array.length arr in
   let fail msg = invalid_arg ("Exhaustive." ^ who ^ ": " ^ msg) in
-  if r.sleep && n >= Sys.int_size then fail "too many pids for sleep masks";
+  let symmetry = match reduce with Some r -> r.symmetry | None -> [] in
+  if reduce <> None && n >= Sys.int_size then
+    fail "too many pids for sleep masks";
   let idx p =
     match Array.find_index (Pid.equal p) arr with
     | Some i -> i
@@ -261,10 +254,10 @@ let compile ~who ~pids ~depth reduce =
             pos.(i) <- j)
           is;
         List.length is)
-      r.symmetry
+      symmetry
   in
-  { c_peek = r.sleep || r.symmetry <> []; c_sleep = r.sleep; c_pids = arr;
-    c_cls = cls; c_pos = pos; c_size = Array.of_list size; c_pow = pow }
+  { c_reduce = reduce <> None; c_pids = arr; c_cls = cls; c_pos = pos;
+    c_size = Array.of_list size; c_pow = pow }
 
 (* Where a search starts: pid indices of the prefix in schedule order, the
    sleep mask, orbit-multiplier product and per-class used-member counts in
@@ -280,110 +273,111 @@ let root ctx =
   { s_prefix = []; s_z = 0; s_factor = 1;
     s_used = Array.make (Array.length ctx.c_size) 0 }
 
-(* A memo entry: the complete schedules below a verified node, divided by
-   the orbit factor in force when it was entered, plus the sleep mask it was
-   explored under. Without sleep sets every mask is 0, so the entry is the
-   bare count, an immediate int. *)
-type 'e entry = { mk : int -> int -> 'e; count : 'e -> int; mask : 'e -> int }
-
-let bare = { mk = (fun c _ -> c); count = Fun.id; mask = (fun _ -> 0) }
-let masked = { mk = (fun c z -> (c, z)); count = fst; mask = snd }
-
 (* [dfs ... ()] is a search [explore seed acc]: the DFS from [seed] to full
    [depth], giving the lex-least violating schedule, or [None] with the
    credited count added to [acc]. Raises [Cancelled] when [cancel] fires.
    With [~cut], children [cut] steps short of [depth] are passed to
-   [emit prefix_rev mask factor used] instead of expanded. Every search of
-   one [explore] shares its memo table, which lives exactly as long as
-   [explore]: seeds from one split meet digest-equal states the way sibling
-   branches of one run do (the digest holds the clock, so equal digests
-   are at equal depth). *)
+   [emit prefix_rev mask factor used] instead of expanded. The memo (of
+   unreduced searches only, so an entry is a bare count) is shared by every
+   search of one [explore] and lives exactly as long as [explore]: seeds
+   from one split meet digest-equal states the way sibling branches of one
+   run do (the digest holds the clock, so equal digests are at equal
+   depth). *)
 let dfs ~ctx ~build ~depth ~prop ~mode ~memo ~cancel ?(cut = -1)
     ?(emit = fun _ _ _ _ -> ()) () =
-  let search (type e) (entry : e entry) =
-    let every = mode = Every in
-    let pids = ctx.c_pids in
-    let n = Array.length pids in
-    let all = List.init n Fun.id in
-    let tbl : (string, e) Hashtbl.t option =
-      if memo then Some (Hashtbl.create 4096) else None
+  let every = mode = Every in
+  let pids = ctx.c_pids in
+  let n = Array.length pids in
+  let all = List.init n Fun.id in
+  let tbl =
+    if memo && not ctx.c_reduce then Some (Hashtbl.create 4096) else None
+  in
+  fun seed acc ->
+    let used = Array.copy seed.s_used in
+    let cur = ref None in
+    let destroy_cur () =
+      Option.iter Runtime.destroy !cur;
+      cur := None
     in
-    fun seed acc ->
-      let used = Array.copy seed.s_used in
-      let cur = ref None in
-      let destroy_cur () =
-        Option.iter Runtime.destroy !cur;
-        cur := None
-      in
-      let peek_all rt = if ctx.c_peek then Array.iter (Runtime.peek rt) pids in
-      let build_fresh () =
-        acc.a_built <- acc.a_built + 1;
-        let rt = build () in
-        cur := Some rt;
-        rt
-      in
-      let step rt i =
-        Runtime.step rt pids.(i);
-        acc.a_steps <- acc.a_steps + 1;
-        peek_all rt
-      in
-      let replay prefix_rev =
-        destroy_cur ();
-        acc.a_replays <- acc.a_replays + 1;
-        let rt = build_fresh () in
-        List.iter (step rt) (List.rev prefix_rev);
-        peek_all rt;
-        rt
-      in
-      let cex_of prefix_rev = List.rev_map (fun i -> pids.(i)) prefix_rev in
-      let rec expand rt prefix_rev d ~z ~factor =
-        if d = 0 then begin
-          acc.a_count <- acc.a_count + factor;
-          if (not every) && prefix_rev <> [] && not (prop rt) then
-            Some (cex_of prefix_rev)
-          else None
-        end
-        else begin
-          (* Footprints of everyone's next step at this node: stable below it,
-             valid after replays (which reconstruct this very state). *)
-          let fp =
-            if ctx.c_sleep then Array.map (Runtime.footprint rt) pids else [||]
-          in
-          let rec kids live before = function
-            | [] -> None
-            | i :: rest ->
-              if cancel () then raise Cancelled;
-              let c = ctx.c_cls.(i) in
-              (* orbit multiplier; 0 for a non-canonical fresh class member *)
-              let mult =
-                if c < 0 then 1
-                else
-                  let j = ctx.c_pos.(i) and u = used.(c) in
-                  if j < u then 1 else if j = u then ctx.c_size.(c) - u else 0
-              in
-              if mult = 0 then begin
-                (* its subtree is a renaming of the canonical representative's,
-                   already counted in that child's multiplier *)
-                acc.a_orbits <- acc.a_orbits + 1;
-                kids live before rest
-              end
-              else if ctx.c_sleep && z land (1 lsl i) <> 0 then begin
-                (* every continuation is trace-equivalent to a lex-smaller
-                   explored schedule: credit the whole subtree *)
-                acc.a_sleep <- acc.a_sleep + 1;
-                acc.a_count <-
-                  acc.a_count + (factor * mult * ctx.c_pow.(d - 1));
-                kids live before rest
-              end
+    let peek_all rt = if ctx.c_reduce then Array.iter (Runtime.peek rt) pids in
+    let build_fresh () =
+      acc.a_built <- acc.a_built + 1;
+      let rt = build () in
+      cur := Some rt;
+      rt
+    in
+    let step rt i =
+      Runtime.step rt pids.(i);
+      acc.a_steps <- acc.a_steps + 1;
+      peek_all rt
+    in
+    let replay prefix_rev =
+      destroy_cur ();
+      acc.a_replays <- acc.a_replays + 1;
+      let rt = build_fresh () in
+      List.iter (step rt) (List.rev prefix_rev);
+      peek_all rt;
+      rt
+    in
+    let cex_of prefix_rev = List.rev_map (fun i -> pids.(i)) prefix_rev in
+    let rec expand rt prefix_rev d ~z ~factor =
+      if d = 0 then begin
+        acc.a_count <- acc.a_count + factor;
+        if (not every) && prefix_rev <> [] && not (prop rt) then
+          Some (cex_of prefix_rev)
+        else None
+      end
+      else begin
+        (* Footprints of everyone's next step at this node: stable below it,
+           valid after replays (which reconstruct this very state). *)
+        let fp =
+          if ctx.c_reduce then Array.map (Runtime.footprint rt) pids else [||]
+        in
+        let rec kids live before = function
+          | [] -> None
+          | i :: rest ->
+            if cancel () then raise Cancelled;
+            let c = ctx.c_cls.(i) in
+            (* orbit multiplier; 0 for a non-canonical fresh class member *)
+            let mult =
+              if c < 0 then 1
+              else
+                let j = ctx.c_pos.(i) and u = used.(c) in
+                if j < u then 1 else if j = u then ctx.c_size.(c) - u else 0
+            in
+            if mult = 0 then begin
+              (* its subtree is a renaming of the canonical representative's,
+                 already counted in that child's multiplier *)
+              acc.a_orbits <- acc.a_orbits + 1;
+              kids live before rest
+            end
+            else if z land (1 lsl i) <> 0 then begin
+              (* every continuation is trace-equivalent to a lex-smaller
+                 explored schedule: credit the whole subtree *)
+              acc.a_sleep <- acc.a_sleep + 1;
+              acc.a_count <- acc.a_count + (factor * mult * ctx.c_pow.(d - 1));
+              kids live before rest
+            end
+            else begin
+              let rt = if live then rt else replay prefix_rev in
+              step rt i;
+              acc.a_nodes <- acc.a_nodes + 1;
+              let prefix_rev' = i :: prefix_rev in
+              if every && not (prop rt) then Some (cex_of prefix_rev')
               else begin
-                let rt = if live then rt else replay prefix_rev in
-                step rt i;
-                acc.a_nodes <- acc.a_nodes + 1;
-                let prefix_rev' = i :: prefix_rev in
-                if every && not (prop rt) then Some (cex_of prefix_rev')
-                else begin
+                let key =
+                  match tbl with
+                  | Some table when d > 1 -> Some (table, Runtime.digest rt)
+                  | _ -> None
+                in
+                match Option.bind key (fun (t, k) -> Hashtbl.find_opt t k) with
+                | Some count ->
+                  acc.a_memo <- acc.a_memo + 1;
+                  acc.a_count <- acc.a_count + count;
+                  kids false (before lor (1 lsl i)) rest
+                | None -> (
                   let z' =
-                    if not ctx.c_sleep then 0
+                    if not ctx.c_reduce then 0
                     else begin
                       let zin = z lor before and m = ref 0 in
                       for q = 0 to n - 1 do
@@ -396,66 +390,38 @@ let dfs ~ctx ~build ~depth ~prop ~mode ~memo ~cancel ?(cut = -1)
                     end
                   in
                   let fm = factor * mult in
-                  let key =
-                    match tbl with
-                    | Some _ when d > 1 -> Some (Runtime.digest rt)
-                    | _ -> None
+                  let fresh_member = c >= 0 && ctx.c_pos.(i) = used.(c) in
+                  if fresh_member then used.(c) <- used.(c) + 1;
+                  let count0 = acc.a_count in
+                  let sub =
+                    if d - 1 = cut then begin
+                      emit prefix_rev' z' fm used;
+                      None
+                    end
+                    else expand rt prefix_rev' (d - 1) ~z:z' ~factor:fm
                   in
-                  let stored =
-                    match (key, tbl) with
-                    | Some k, Some table -> Hashtbl.find_opt table k
-                    | _ -> None
-                  in
-                  match stored with
-                  | Some e when entry.mask e land lnot z' = 0 ->
-                    acc.a_memo <- acc.a_memo + 1;
-                    acc.a_count <- acc.a_count + (fm * entry.count e);
-                    kids false (before lor (1 lsl i)) rest
-                  | _ -> (
-                    (* Miss, or the stored exploration slept on steps this node
-                       may not skip: (re-)explore under the intersection and
-                       tighten the entry. *)
-                    let z_explore =
-                      match stored with
-                      | Some e -> entry.mask e land z'
-                      | None -> z'
-                    in
-                    let fresh_member = c >= 0 && ctx.c_pos.(i) = used.(c) in
-                    if fresh_member then used.(c) <- used.(c) + 1;
-                    let count0 = acc.a_count in
-                    let sub =
-                      if d - 1 = cut then begin
-                        emit prefix_rev' z_explore fm used;
-                        None
-                      end
-                      else expand rt prefix_rev' (d - 1) ~z:z_explore ~factor:fm
-                    in
-                    if fresh_member then used.(c) <- used.(c) - 1;
-                    match sub with
-                    | Some cex -> Some cex
-                    | None ->
-                      (match (key, tbl) with
-                      | Some k, Some table ->
-                        Hashtbl.replace table k
-                          (entry.mk ((acc.a_count - count0) / fm) z_explore)
-                      | _ -> ());
-                      kids false (before lor (1 lsl i)) rest)
-                end
+                  if fresh_member then used.(c) <- used.(c) - 1;
+                  match sub with
+                  | Some cex -> Some cex
+                  | None ->
+                    Option.iter
+                      (fun (t, k) -> Hashtbl.replace t k (acc.a_count - count0))
+                      key;
+                    kids false (before lor (1 lsl i)) rest)
               end
-          in
-          kids true 0 all
-        end
-      in
-      Fun.protect ~finally:destroy_cur (fun () ->
-          let rt = build_fresh () in
-          peek_all rt;
-          List.iter (step rt) seed.s_prefix;
-          expand rt
-            (List.rev seed.s_prefix)
-            (depth - List.length seed.s_prefix)
-            ~z:seed.s_z ~factor:seed.s_factor)
-  in
-  if ctx.c_sleep then search masked else search bare
+            end
+        in
+        kids true 0 all
+      end
+    in
+    Fun.protect ~finally:destroy_cur (fun () ->
+        let rt = build_fresh () in
+        peek_all rt;
+        List.iter (step rt) seed.s_prefix;
+        expand rt
+          (List.rev seed.s_prefix)
+          (depth - List.length seed.s_prefix)
+          ~z:seed.s_z ~factor:seed.s_factor)
 
 let never_cancel () = false
 
@@ -550,7 +516,7 @@ let run_subtrees ?(memo = true) ?(mode = Every) ?reduce
     let s_prefix = List.map idx sj.sj_prefix in
     let s_z = List.fold_left (fun z p -> z lor (1 lsl idx p)) 0 sj.sj_sleep in
     let s_used = Array.make (Array.length ctx.c_size) 0 in
-    if not ctx.c_peek then begin
+    if not ctx.c_reduce then begin
       if sj.sj_factor <> 1 || sj.sj_sleep <> [] || sj.sj_used <> [] then
         fail "job carries reduction context but no reduction is enabled"
     end

@@ -32,9 +32,10 @@
     Soundness requirements on the inputs (all hold for the usual
     fresh-memory/fresh-algorithm builders):
     - [build] must be deterministic and return independent runtimes;
-    - with the memo enabled, [prop] must be a function of the reached state
-      as captured by {!Runtime.digest} (memory, statuses, decisions, per
-      process observations) — not of absolute event times or the trace. *)
+    - with the memo enabled (unreduced runs only), [prop] must be a
+      function of the reached state as captured by {!Runtime.digest}
+      (memory, statuses, decisions, per process observations) — not of
+      absolute event times or the trace. *)
 
 type verdict =
   | Ok of int  (** number of complete schedules accounted for *)
@@ -49,10 +50,12 @@ type stats = {
   steps_executed : int;  (** total {!Runtime.step} calls, replays included *)
   replays : int;  (** rebuild-and-replay events (backtracks / baseline runs) *)
   runtimes_built : int;  (** calls to [build] *)
-  memo_hits : int;  (** subtrees skipped via the state-fingerprint memo *)
+  memo_hits : int;
+      (** subtrees skipped via the state-fingerprint memo; [0] under
+          [~reduce], which keeps no memo *)
   sleep_pruned : int;
       (** subtrees skipped (and credited) by sleep-set partial-order
-          reduction; [0] unless {!run} is given [~reduce] with [sleep] *)
+          reduction; [0] unless {!run} is given [~reduce] *)
   orbits_collapsed : int;
       (** children skipped as non-canonical renamings of an explored class
           member; [0] unless [~reduce] declares symmetry classes *)
@@ -98,20 +101,20 @@ val record_stats : ?labels:(string * string) list -> Obs.Metrics.registry -> sta
 (** {1 Sound state-space reduction}
 
     Optional pruning layers of the one DFS, so they apply alike to {!run},
-    {!split} and {!run_subtrees} and compose with the memo. Both are
-    {e credited}: a pruned subtree's complete schedules are added to the
-    count, so verdicts — exact counts and the identity of the first
-    counterexample (DFS order is lexicographic, and the lex-least violating
-    schedule is never pruned) — match an unreduced run. An unreduced run
-    goes through the same DFS but never peeks or computes footprints, so
-    its digests and {!stats} are independent of this layer. *)
+    {!split} and {!run_subtrees}. Any [~reduce] turns on sleep-set
+    partial-order reduction over the step-footprint independence relation
+    ({!Runtime.footprint}): of two adjacent independent steps, orders that
+    differ only by commuting them are explored once. Its [symmetry] classes
+    add orbit collapsing on top ([[]] for none). Both are {e credited}: a
+    pruned subtree's complete schedules are added to the count, so verdicts
+    — exact counts and the identity of the first counterexample (DFS order
+    is lexicographic, and the lex-least violating schedule is never pruned)
+    — match an unreduced run. A reduced search keeps no memo: sleep sets
+    already prune most of what it would catch. An unreduced run goes
+    through the same DFS but never peeks or computes footprints, so its
+    digests and {!stats} are independent of this layer. *)
 
 type reduction = {
-  sleep : bool;
-      (** sleep-set partial-order reduction over the step-footprint
-          independence relation ({!Runtime.footprint}): of two adjacent
-          independent steps, orders that differ only by commuting them are
-          explored once *)
   symmetry : Pid.t list list;
       (** disjoint classes of interchangeable pids: same code, same input,
           and crash/FD behaviour invariant under renaming within the class
@@ -120,10 +123,6 @@ type reduction = {
           and credited with the orbit size. [prop] must be invariant under
           renaming within each class. *)
 }
-
-val no_reduction : reduction
-(** [{ sleep = false; symmetry = [] }] — [run ~reduce:no_reduction] is
-    exactly the unreduced run. *)
 
 exception Cancelled
 (** Raised by {!run} and {!run_subtrees} when the [?cancel] hook fired: the
@@ -148,11 +147,12 @@ val run :
     hook polled once per DFS child: the moment it returns [true] the run raises
     {!Cancelled} instead of returning — the hook the service layer uses for
     per-request deadlines. [?memo] (default [true]) enables the
-    state-fingerprint memo. [?reduce] (default off) enables the reduction layers
-    above; reduction forces every process to its first suspension point eagerly
-    ({!Runtime.peek}), so [prop] must additionally not distinguish a [Fresh]
-    process from a peeked one (true of properties over memory, decisions and
-    participation). Verdicts (including exact schedule counts) are identical to
+    state-fingerprint memo; it has no effect under [?reduce]. [?reduce]
+    (default off) enables the reduction layers above; reduction forces every
+    process to its first suspension point eagerly ({!Runtime.peek}), so
+    [prop] must additionally not distinguish a [Fresh] process from a peeked
+    one (true of properties over memory, decisions and participation).
+    Verdicts (including exact schedule counts) are identical to
     {!run_replay} under the soundness requirements above. Raises
     [Invalid_argument] before exploring when [|pids|^depth > max_int] or the
     symmetry classes are not disjoint subsets of [pids]. *)
@@ -178,7 +178,7 @@ type subtree = {
           first-result-wins re-dispatch *)
   sj_prefix : Pid.t list;  (** the schedule prefix, length [split_depth] *)
   sj_sleep : Pid.t list;
-      (** pids asleep at the frontier node ([[]] unless sleep reduction) *)
+      (** pids asleep at the frontier node ([[]] unless reduced) *)
   sj_factor : int;  (** orbit-multiplier product along the prefix *)
   sj_used : int list;
       (** per-symmetry-class used-member counts at the frontier node, in
@@ -240,8 +240,9 @@ val run_subtrees :
     a counterexample is the full schedule (prefix included) and is the
     lex-least within the subtree.
 
-    One memo table ([?memo], default [true]) is created when the call
-    starts and serves every job of it, then is dropped: a job's subtree
+    One memo table ([?memo], default [true]; none under [?reduce]) is
+    created when the call starts and serves every job of it, then is
+    dropped: a job's subtree
     skips the states earlier jobs verified, as a branch of {!run} skips
     those of earlier branches, so running all of a split's jobs in one
     call explores about as many nodes as {!run}. Verdicts and counts do

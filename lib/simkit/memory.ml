@@ -44,12 +44,3 @@ let contents mem = Array.sub mem.cells 0 mem.used
    quadratic disjointness is cheaper than building any set structure. *)
 let overlaps a b =
   Array.exists (fun r -> Array.exists (fun r' -> r = r') b) a
-
-let hash mem =
-  (* FNV-1a over the per-cell value hashes; cheap enough to recompute per
-     checker node (memories stay small in exhaustively-checked systems). *)
-  let h = ref 0x811c9dc5 in
-  for i = 0 to mem.used - 1 do
-    h := (!h * 0x01000193) lxor Value.hash mem.cells.(i) land max_int
-  done;
-  !h

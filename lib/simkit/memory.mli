@@ -35,8 +35,3 @@ val overlaps : reg array -> reg array -> bool
 (** Do two register footprints share a register? Linear scan — footprints
     are at most one snapshot wide. Used by the exhaustive checker's
     independence relation ({!Runtime.footprint}). *)
-
-val hash : t -> int
-(** Cheap content hash (FNV-1a over per-cell {!Value.hash}es). Two memories
-    with equal {!contents} hash equal; collisions are possible, so use
-    {!contents} where exactness matters. *)

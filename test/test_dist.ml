@@ -33,7 +33,7 @@ let sa_prop rt =
   | Some a, Some b -> Value.equal a b
   | _ -> true
 
-let sa_reduce ~n_s = { Exhaustive.sleep = true; symmetry = [ Pid.all_s n_s ] }
+let sa_reduce ~n_s = { Exhaustive.symmetry = [ Pid.all_s n_s ] }
 
 (* --- the reference distributed pipeline, in-process --- *)
 
@@ -74,7 +74,7 @@ let test_partition_matches_run () =
       ("plain", 1, 5, None);
       ("plain-ns2", 2, 4, None);
       ("reduced", 2, 5, Some (sa_reduce ~n_s:2));
-      ("sleep-only", 1, 5, Some { Exhaustive.sleep = true; symmetry = [] });
+      ("sleep-only", 1, 5, Some { Exhaustive.symmetry = [] });
     ]
 
 (* With the memo off, effort is not path-dependent: the partitioned run must
@@ -630,7 +630,7 @@ let test_two_workers_nodes () =
         true
         (nodes <= 2 * mono.Exhaustive.nodes))
 
-(* A reduced search takes no memo hits, so one job per range loses
+(* A reduced search keeps no memo, so one job per range loses
    nothing: the fleet explores exactly the monolithic nodes. *)
 let test_reduced_fleet_nodes () =
   with_tcp_workers 2 (fun servers ->

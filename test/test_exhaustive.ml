@@ -356,7 +356,7 @@ let test_count_overflow_rejected () =
   in
   let pids = Pid.all ~n_c:2 ~n_s:1 in
   let prop = race_prop_valid ~n_c:2 in
-  let reduce = { Exhaustive.sleep = true; symmetry = [] } in
+  let reduce = { Exhaustive.symmetry = [] } in
   let job =
     { Exhaustive.sj_id = 0; sj_prefix = [ List.hd pids ]; sj_sleep = [];
       sj_factor = 1; sj_used = [] }
@@ -464,7 +464,7 @@ let test_reduction_speedup () =
   let memo_v, memo_st = Exhaustive.run ~build ~pids ~depth:8 ~prop () in
   let red_v, red_st =
     Exhaustive.run
-      ~reduce:{ Exhaustive.sleep = true; symmetry = [ Pid.all_s 2 ] }
+      ~reduce:{ Exhaustive.symmetry = [ Pid.all_s 2 ] }
       ~build ~pids ~depth:8 ~prop ()
   in
   Alcotest.(check string) "identical verdict and count" (verdict_str memo_v)

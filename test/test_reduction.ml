@@ -28,17 +28,23 @@ let assert_engines_agree ~label ~build ~pids ~depth ~mode ~prop ~reduce =
     (v, st)
   in
   List.iter
-    (fun (variant, run) ->
-      let v, _ = run () in
+    (fun (variant, reduced, run) ->
+      let v, st = run () in
       Alcotest.(check string) (label ^ " " ^ variant) (verdict_str oracle)
-        (verdict_str v))
+        (verdict_str v);
+      (* a reduced search keeps no memo, whole or split into jobs *)
+      if reduced then
+        Alcotest.(check int) (label ^ " " ^ variant ^ " memo hits") 0
+          st.Exhaustive.memo_hits)
     [
       ( "memo",
+        false,
         fun () -> Exhaustive.run ~mode ~build ~pids ~depth ~prop () );
       ( "reduced",
+        true,
         fun () -> Exhaustive.run ~reduce ~mode ~build ~pids ~depth ~prop () );
-      ("memo frontier fold", fun () -> fold ?reduce:None ());
-      ("reduced frontier fold", fun () -> fold ~reduce ());
+      ("memo frontier fold", false, fun () -> fold ?reduce:None ());
+      ("reduced frontier fold", true, fun () -> fold ~reduce ());
     ]
 
 let test_differential_safe_agreement () =
@@ -63,7 +69,7 @@ let test_differential_safe_agreement () =
   in
   assert_engines_agree ~label:"safe-agreement" ~build
     ~pids:(Pid.all ~n_c:2 ~n_s:2) ~depth:6 ~mode:Exhaustive.Every ~prop
-    ~reduce:{ Exhaustive.sleep = true; symmetry = s_class 2 }
+    ~reduce:{ Exhaustive.symmetry = s_class 2 }
 
 let test_differential_commit_adopt () =
   (* outcome encoded into the decision value (2v + commit-bit) so the
@@ -88,7 +94,7 @@ let test_differential_commit_adopt () =
   in
   assert_engines_agree ~label:"commit-adopt" ~build ~pids:(Pid.all_c 2)
     ~depth:7 ~mode:Exhaustive.Final ~prop
-    ~reduce:{ Exhaustive.sleep = true; symmetry = [] }
+    ~reduce:{ Exhaustive.symmetry = [] }
 
 let test_differential_trivial_nsa () =
   let build () =
@@ -122,7 +128,7 @@ let test_differential_trivial_nsa () =
   in
   assert_engines_agree ~label:"trivial-nsa" ~build
     ~pids:(Pid.all ~n_c:2 ~n_s:2) ~depth:6 ~mode:Exhaustive.Every ~prop
-    ~reduce:{ Exhaustive.sleep = true; symmetry = s_class 2 }
+    ~reduce:{ Exhaustive.symmetry = s_class 2 }
 
 let test_differential_ct_consensus () =
   (* FD queries and S-code that distinguishes indices: no symmetry class
@@ -161,7 +167,7 @@ let test_differential_ct_consensus () =
   in
   assert_engines_agree ~label:"ct-consensus" ~build
     ~pids:(Pid.all ~n_c:2 ~n_s:2) ~depth:5 ~mode:Exhaustive.Every ~prop
-    ~reduce:{ Exhaustive.sleep = true; symmetry = [] }
+    ~reduce:{ Exhaustive.symmetry = [] }
 
 let test_differential_violation () =
   (* Seeded violation: the race config under the deliberately false claim.
@@ -169,7 +175,7 @@ let test_differential_violation () =
   let build = Test_exhaustive.race_build ~n_c:2 ~n_s:1 in
   let prop = Test_exhaustive.race_prop_false in
   let pids = Pid.all ~n_c:2 ~n_s:1 in
-  let reduce = { Exhaustive.sleep = true; symmetry = [] } in
+  let reduce = { Exhaustive.symmetry = [] } in
   let oracle, _ = Exhaustive.run_replay ~build ~pids ~depth:6 ~prop () in
   (match oracle with
   | Exhaustive.Counterexample _ -> ()
@@ -313,7 +319,7 @@ let test_reduction_stats_and_validation () =
   let pids = Pid.all ~n_c:2 ~n_s:2 in
   let v, st =
     Exhaustive.run
-      ~reduce:{ Exhaustive.sleep = true; symmetry = s_class 2 }
+      ~reduce:{ Exhaustive.symmetry = s_class 2 }
       ~build ~pids ~depth:5 ~prop ()
   in
   (match v with
@@ -321,28 +327,23 @@ let test_reduction_stats_and_validation () =
   | Exhaustive.Counterexample _ -> Alcotest.fail "unexpected counterexample");
   check_bool "sleep sets fired" true (st.Exhaustive.sleep_pruned > 0);
   check_bool "orbits collapsed" true (st.Exhaustive.orbits_collapsed > 0);
-  (* ~reduce:no_reduction is the unreduced engine *)
-  let v', st' =
-    Exhaustive.run ~reduce:Exhaustive.no_reduction ~build ~pids ~depth:5
-      ~prop ()
-  in
-  Alcotest.(check string) "no_reduction = plain engine" (verdict_str v)
-    (verdict_str v');
-  Alcotest.(check int) "no_reduction prunes nothing" 0
-    (st'.Exhaustive.sleep_pruned + st'.Exhaustive.orbits_collapsed);
+  (* three writers on one register: overwrites converge in orders sleep
+     sets do not commute, so a memo would hit under reduction here; the
+     battery pins that a reduced run keeps none *)
+  assert_engines_agree ~label:"three-writer race"
+    ~build:(Test_exhaustive.race_build ~n_c:3 ~n_s:1)
+    ~pids:(Pid.all_c 3) ~depth:6 ~mode:Exhaustive.Every
+    ~prop:(Test_exhaustive.race_prop_valid ~n_c:3)
+    ~reduce:{ Exhaustive.symmetry = [] };
   let rejects r =
     match Exhaustive.run ~reduce:r ~build ~pids ~depth:2 ~prop () with
     | exception Invalid_argument _ -> true
     | _ -> false
   in
   check_bool "foreign pid rejected" true
-    (rejects { Exhaustive.sleep = false; symmetry = [ [ Pid.s 7 ] ] });
+    (rejects { Exhaustive.symmetry = [ [ Pid.s 7 ] ] });
   check_bool "overlapping classes rejected" true
-    (rejects
-       {
-         Exhaustive.sleep = false;
-         symmetry = [ [ Pid.s 0; Pid.s 1 ]; [ Pid.s 1 ] ];
-       })
+    (rejects { Exhaustive.symmetry = [ [ Pid.s 0; Pid.s 1 ]; [ Pid.s 1 ] ] })
 
 let suite =
   [
